@@ -52,13 +52,11 @@ from .monodromy import (
 )
 from .normal_forms import (
     DegenerateDenominator,
-    NoConvergence,
-    NormalFormParams,
     build_b_form,
     build_q_form,
     decide_equivalence,
     gamma_of_q,
-    solve_q,
+    q_from_gamma,
 )
 from .geometry import (
     DomainConfig,

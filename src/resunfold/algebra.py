@@ -189,13 +189,6 @@ class CSeries:
             c[: n - 1] = self.coeffs[1:] * np.arange(1, n)
         return CSeries(c)
 
-    def integ(self) -> "CSeries":
-        """Antiderivative with zero constant term (top coefficient dropped)."""
-        n = self.order
-        c = np.zeros(n, dtype=complex)
-        c[1:] = self.coeffs[: n - 1] / np.arange(1, n)
-        return CSeries(c)
-
     def exp(self) -> "CSeries":
         """Series exponential; works for any constant term."""
         n = self.order

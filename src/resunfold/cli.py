@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,17 +35,18 @@ from .geometry import (
     write_regions_csv,
     write_trajectories_csv,
 )
-from .invariants import NonGeneric, extract_formal, reduce
+from .invariants import FormalInvariants, NonGeneric, extract_formal, reduce
 from .monodromy import gamma_numeric
 from .normal_forms import (
     DegenerateDenominator,
     build_b_form,
     build_q_form,
     decide_equivalence,
-    q_seed_for,
-    solve_q,
+    q_from_gamma,
 )
 from .normalization import (
+    ContractionViolated,
+    NoOverlap,
     assemble_F,
     batch_verify,
     diagonalization_residual,
@@ -103,13 +103,12 @@ def _write_manifest(args, out_dir: str, outputs: list) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "argv": [a for a in sys.argv[1:]],
+        "argv": args.argv,
         "outputs": outputs,
         "tol": getattr(args, "tol", None),
         "gamma_tol": getattr(args, "gamma_tol", None),
         "order": getattr(args, "order", None),
         "seed": getattr(args, "seed", None),
-        "threads": getattr(args, "threads", None),
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -118,17 +117,23 @@ def _write_manifest(args, out_dir: str, outputs: list) -> None:
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex number from '{text}'")
+    """'re' or 're,im' as an argparse type: bad text exits with code 2."""
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"cannot parse complex number from '{text}'")
+    return complex(*parts)
 
 
-def _load_system(path: str) -> ParametricSystem:
-    with open(path) as fh:
-        return ParametricSystem.from_descriptor(json.load(fh))
+def _parse_complex_list(text: str) -> list:
+    return [_parse_complex(c) for c in text.split(";")]
+
+
+def _json_complex(value) -> complex:
+    """A JSON number or [re, im] pair."""
+    return complex(*value) if isinstance(value, list) else complex(value)
 
 
 def _ensure_outdir(args) -> str:
@@ -143,8 +148,8 @@ def _ensure_outdir(args) -> str:
 
 def cmd_invariants(args) -> int:
     try:
-        system = _load_system(args.system)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        system = ParametricSystem.load(args.system)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     F = extract_formal(system)
@@ -174,9 +179,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_equiv(args) -> int:
     try:
-        sys_a = _load_system(args.system_a)
-        sys_b = _load_system(args.system_b)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        sys_a = ParametricSystem.load(args.system_a)
+        sys_b = ParametricSystem.load(args.system_b)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -199,37 +204,28 @@ def cmd_normalform(args) -> int:
     try:
         with open(args.invariants) as fh:
             data = json.load(fh)
-        h = data["h"]
-        lam = data["lambda"]
-        alpha = data["alpha"]
-        from .invariants import FormalInvariants
-        F = FormalInvariants(complex(*h[0]) if isinstance(h[0], list) else complex(h[0]),
-                             complex(*h[1]) if isinstance(h[1], list) else complex(h[1]),
-                             complex(*lam[0]) if isinstance(lam[0], list) else complex(lam[0]),
-                             complex(*lam[1]) if isinstance(lam[1], list) else complex(lam[1]),
-                             complex(*alpha[0]) if isinstance(alpha[0], list) else complex(alpha[0]),
-                             complex(*alpha[1]) if isinstance(alpha[1], list) else complex(alpha[1]))
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        F = FormalInvariants(*(_json_complex(data[key][i])
+                               for key in ("h", "lambda", "alpha") for i in (0, 1)))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: bad invariants file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         if args.variant == "q":
             if args.param is not None:
-                q = _parse_complex(args.param)
+                q = args.param
             else:
-                gamma = complex(*data["gamma"]) if isinstance(data.get("gamma"), list) \
-                    else complex(data["gamma"])
-                q = solve_q(gamma, q_seed_for(gamma))
+                Q = q_from_gamma(_json_complex(data["gamma"]), sign=-1)
+                q = Q * (Q + 1.0)
             system = build_q_form(F, q, order=args.order)
             param_out = {"q": q}
         else:
             if args.param is None:
                 print("error: b-form needs --param", file=sys.stderr)
                 return EXIT_PARSE
-            b = _parse_complex(args.param)
+            b = args.param
             system = build_b_form(F, b, order=args.order)
             param_out = {"b": b}
-    except (KeyError, DegenerateDenominator, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DegenerateDenominator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = _ensure_outdir(args)
@@ -244,10 +240,8 @@ def cmd_normalform(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    mu = _parse_complex(args.mu)
-    eps = _parse_complex(args.eps)
-    omega = cmath.exp(1j * args.omega_arg) if args.omega is None \
-        else _parse_complex(args.omega)
+    mu, eps = args.mu, args.eps
+    omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
     cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L,
                        xi_max=args.xi_max)
     if not cfg.feasible(args.sup_sr):
@@ -274,14 +268,7 @@ def cmd_portrait(args) -> int:
         if abs(z) > 0.2 * cfg.delta_s:
             seeds.append(z)
 
-    def trace(seed):
-        return trace_trajectory(seed, omega, rp, cfg)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(trace, seeds))
-    else:
-        records = [trace(s) for s in seeds]
+    records = [trace_trajectory(seed, omega, rp, cfg) for seed in seeds]
     write_trajectories_csv(records, os.path.join(out, "trajectories.csv"),
                            stride=max(1, int(0.05 / cfg.trace_step)))
 
@@ -295,11 +282,10 @@ def cmd_portrait(args) -> int:
     boundary_touch = bool(outer_mask.any() and
                           np.any(np.abs(pts[outer_mask]) >
                                  cfg.delta_s - 1.5 * grid_step))
-    grid_step_x = 2.0 * cfg.delta_s / max(n - 1, 1)
     eq_pts = [e.s for e in equilibria(rp)]
     inner_components = count_components(
         pts, labels, REGION_INNER, n, n, exclude=eq_pts,
-        exclude_radius=cfg.parabolic_capture + 2.0 * grid_step_x)
+        exclude_radius=cfg.parabolic_capture + 2.0 * grid_step)
     summary = {
         "mu": mu, "eps": eps, "omega": omega,
         "label_counts": {REGION_NAMES[k]: int(np.sum(labels == k))
@@ -340,14 +326,9 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_normcheck(args) -> int:
-    mu = _parse_complex(args.mu)
-    eps = _parse_complex(args.eps)
-    omega = cmath.exp(1j * args.omega_arg) if args.omega is None \
-        else _parse_complex(args.omega)
-    r = None
-    if args.r_coeffs:
-        coeffs = [_parse_complex(c) for c in args.r_coeffs.split(";")]
-        r = CSeries(coeffs, args.order)
+    mu, eps = args.mu, args.eps
+    omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
+    r = CSeries(args.r_coeffs, args.order) if args.r_coeffs else None
     cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L,
                        trace_step=args.trace_step,
                        parabolic_capture=args.parabolic_capture,
@@ -361,14 +342,11 @@ def cmd_normcheck(args) -> int:
         print("error: contraction inequality violated for this r", file=sys.stderr)
         return EXIT_PARSE
     rp = RamifiedPoint.from_values(mu, eps)
-    seed_dir = None
-    if args.seed_dir:
-        seed_dir = _parse_complex(args.seed_dir)
     try:
-        sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=seed_dir,
+        sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=args.seed_dir,
                                            tol=args.tol)
         asm = assemble_F(sol_i, sol_j, rp, r=r, interior=0.1)
-    except Exception as exc:
+    except (NoOverlap, ContractionViolated, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     ratios = sol_i.contraction_ratios
@@ -406,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local error tolerance of the monodromy integrator")
     p.add_argument("--order", type=int, default=24, help="series truncation order")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("invariants", help="formal + analytic invariants of a system")
@@ -423,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("normalform", help="build a q- or b-form from invariants")
     q.add_argument("invariants")
     q.add_argument("--variant", choices=["q", "b"], default="q")
-    q.add_argument("--param", default=None,
-                   help="q or b value as 're,im' (q defaults to solving gamma)")
+    q.add_argument("--param", type=_parse_complex, default=None,
+                   help="q or b value as 're,im' (q defaults to the closed form in gamma)")
     q.set_defaults(func=cmd_normalform)
 
     q = sub.add_parser("portrait", help="trajectories, regions and bifurcation CSVs")
-    q.add_argument("--mu", required=True)
-    q.add_argument("--eps", required=True)
-    q.add_argument("--omega", default=None)
+    q.add_argument("--mu", type=_parse_complex, required=True)
+    q.add_argument("--eps", type=_parse_complex, required=True)
+    q.add_argument("--omega", type=_parse_complex, default=None)
     q.add_argument("--omega-arg", type=float, default=0.0, dest="omega_arg")
     q.add_argument("--grid", type=int, default=41)
     q.add_argument("--trajectories", type=int, default=8)
@@ -451,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_kappa)
 
     q = sub.add_parser("normcheck", help="Picard solve + diagonalizer assembly")
-    q.add_argument("--mu", required=True)
-    q.add_argument("--eps", required=True)
-    q.add_argument("--omega", default=None)
+    q.add_argument("--mu", type=_parse_complex, required=True)
+    q.add_argument("--eps", type=_parse_complex, required=True)
+    q.add_argument("--omega", type=_parse_complex, default=None)
     q.add_argument("--omega-arg", type=float, default=0.0, dest="omega_arg")
-    q.add_argument("--r-coeffs", default=None, dest="r_coeffs",
+    q.add_argument("--r-coeffs", type=_parse_complex_list, default=None, dest="r_coeffs",
                    help="semicolon-separated complex coefficients of r")
-    q.add_argument("--seed-dir", default=None, dest="seed_dir")
+    q.add_argument("--seed-dir", type=_parse_complex, default=None, dest="seed_dir")
     q.add_argument("--eta", type=float, default=math.pi / 6)
     q.add_argument("--delta-s", type=float, default=0.5, dest="delta_s")
     q.add_argument("--L", type=float, default=2.0)
@@ -471,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     if getattr(args, "tol", None) is not None and args.tol <= 0:
         print("error: --tol must be positive", file=sys.stderr)
         return EXIT_PARSE

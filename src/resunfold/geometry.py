@@ -165,22 +165,16 @@ class DomainConfig:
 
     The feasibility inequality L * delta_s * (1 + 4 sup|s r|) <= 2 cos(eta)
     guarantees the Picard contraction of the integral-equation solver.
-    ``omega_samples`` controls how densely the admissible rotations
-    |arg omega| < eta are sampled when ramified unions over omega are
-    needed.
     """
 
     eta: float = math.pi / 6.0
     delta_s: float = 0.5
-    delta_mu: float = 0.1
-    delta_eps: float = 0.05
     L: float = 2.0
     xi_max: float | None = None
     trace_step: float = 5e-3
     classify_step: float = 5e-2
     capture_radius: float = 1e-9
     parabolic_capture: float = 1e-2
-    omega_samples: int = 7
 
     @property
     def xi_limit(self) -> float:
@@ -188,10 +182,6 @@ class DomainConfig:
 
     def feasible(self, sup_sr: float = 0.0) -> bool:
         return self.L * self.delta_s * (1.0 + 4.0 * sup_sr) <= 2.0 * math.cos(self.eta)
-
-    def omega_grid(self) -> np.ndarray:
-        args = np.linspace(-self.eta, self.eta, self.omega_samples + 2)[1:-1]
-        return np.exp(1j * args)
 
 
 # ---------------------------------------------------------------------------
@@ -612,22 +602,11 @@ def bifurcation_sets(eps: complex, resolution: int = 200):
     sigma_o = -(1.0 / a_vals + eps * a_vals) / 2.0
     se = cmath.sqrt(eps)
     t_vals = np.linspace(0.0, 10.0, resolution)
-    sigma_i_minus = -se - eps * t_vals
-    sigma_i_plus = se - eps * t_vals
     return {
         "sigma_O": sigma_o.astype(complex),
-        "sigma_I_minus": sigma_i_minus.astype(complex) if isinstance(
-            sigma_i_minus, np.ndarray) else np.full(resolution, -se),
-        "sigma_I_plus": sigma_i_plus.astype(complex) if isinstance(
-            sigma_i_plus, np.ndarray) else np.full(resolution, se),
+        "sigma_I_minus": (-se - eps * t_vals).astype(complex),
+        "sigma_I_plus": (se - eps * t_vals).astype(complex),
     }
-
-
-def stability_indicator(mu: complex, eps: complex) -> float:
-    """Re(sqrt(eps)/s2); its sign flips exactly on the sigma_I ray of s2."""
-    se = cmath.sqrt(eps)
-    s2 = cmath.sqrt(mu - se)
-    return (se / s2).real
 
 
 def stability_sweep(mu_path, eps: complex) -> np.ndarray:

@@ -36,9 +36,6 @@ class FormalInvariants:
     alpha0: complex
     alpha1: complex
 
-    def h_poly(self):
-        return (self.h0, self.h1)
-
     @property
     def epsilon(self) -> complex:
         """(1/alpha1)^2 ((h1/2)^2 - h0), the reduced quadratic parameter."""
@@ -86,9 +83,6 @@ class ReducedSystem:
         a21 = self.mu + x + h * self.r
         A = CSeriesMat2(CSeries.zero(n), CSeries.one(n), a21, CSeries.zero(n))
         return ParametricSystem(-self.epsilon, 0.0, A)
-
-    def r_at(self, x):
-        return self.r.eval(x)
 
 
 def extract_formal(system: ParametricSystem) -> FormalInvariants:
@@ -143,30 +137,15 @@ def _divide_by_h(series: CSeries, eps: complex, tol: float, what: str) -> CSerie
     return q
 
 
-def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
-    """Four-step prenormal form of a reduced system.
+def _cyclic_steps(system: ParametricSystem):
+    """Steps 1 and 2 of the prenormal form.
 
-    Input must already have h = x^2 - eps and formal invariants
-    (lambda, alpha) = (0, mu + x); this is verified first.  The steps:
-
-    1. constant conjugation to make A^(0) = [[0, 1], [*, *]];
-    2. lower-row series corrections T^(l) killing the top row beyond order 0;
-    3. the shear S = [[1, 0], [b22/2, 1]];
-    4. a scalar exponential factor removing the residual diagonal.
-
-    Returns the (eps, mu, r) data with
-    A = [[0, 1], [mu + x + (x^2 - eps) r, 0]] exact modulo x^K.
+    Step 1 conjugates A by the constant C with C^{-1} = [[w], [w A0]] for
+    the best-conditioned cyclic covector w; step 2 solves the triangular
+    recursion for the lower-row corrections t^(l) = (t21[l], t22[l]).
+    Returns the coefficients a^(l) of the conjugated A and t21, t22
+    (length K + 1, zero at l = 0 and l = K).
     """
-    if abs(system.h1) > 1e-10:
-        raise InvariantMismatch("reduced system must have h = x^2 - eps")
-    eps = -system.h0
-    F = extract_formal(system)
-    scale = max(1.0, system.A.max_abs())
-    if max(abs(F.lambda0), abs(F.lambda1)) > tol * scale:
-        raise InvariantMismatch("reduced system must have lambda = 0")
-    if abs(F.alpha1 - 1.0) > tol * scale:
-        raise InvariantMismatch("reduced system must have alpha = mu + x")
-    mu = F.alpha0
     n = system.order
 
     # step 1: cyclic covector w, C^{-1} = [[w], [w A0]]
@@ -203,6 +182,36 @@ def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
             acc2 += a12 * t22[l - j]
         t21[l] = -acc1
         t22[l] = -acc2
+    return a_coeffs, t21, t22
+
+
+def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
+    """Four-step prenormal form of a reduced system.
+
+    Input must already have h = x^2 - eps and formal invariants
+    (lambda, alpha) = (0, mu + x); this is verified first.  The steps:
+
+    1. constant conjugation to make A^(0) = [[0, 1], [*, *]];
+    2. lower-row series corrections T^(l) killing the top row beyond order 0;
+    3. the shear S = [[1, 0], [b22/2, 1]];
+    4. a scalar exponential factor removing the residual diagonal.
+
+    Returns the (eps, mu, r) data with
+    A = [[0, 1], [mu + x + (x^2 - eps) r, 0]] exact modulo x^K.
+    """
+    if abs(system.h1) > 1e-10:
+        raise InvariantMismatch("reduced system must have h = x^2 - eps")
+    eps = -system.h0
+    F = extract_formal(system)
+    scale = max(1.0, system.A.max_abs())
+    if max(abs(F.lambda0), abs(F.lambda1)) > tol * scale:
+        raise InvariantMismatch("reduced system must have lambda = 0")
+    if abs(F.alpha1 - 1.0) > tol * scale:
+        raise InvariantMismatch("reduced system must have alpha = mu + x")
+    mu = F.alpha0
+    n = system.order
+
+    a_coeffs, t21, t22 = _cyclic_steps(system)
     # T^(l) = 0 for l >= K: the eps (l+1) T^(l+1) term is dropped at the
     # top order, leaving an O(x^(K-1)) defect in B.  The -eps T' part of
     # the gauge formula also contributes eps T^(1) at order zero, which
@@ -246,32 +255,15 @@ def step2_growth_data(system: ParametricSystem):
 
     K_A is the empirical coefficient-growth base max |a^(l)|^(1/l) of the
     step-1 conjugated matrix, the constant in the convergence estimate of
-    the lower-row recursion.
+    the lower-row recursion; the bound follows by induction for any
+    constant conjugation.
     """
+    a_coeffs, t21, t22 = _cyclic_steps(system)
     n = system.order
-    a0 = system.A.constant_term()
-    w = np.array([1.0, 0.0])
-    if abs(np.linalg.det(np.array([w, w @ a0]))) < 1e-8:
-        w = np.array([0.0, 1.0])
-    cinv = np.array([w, w @ a0])
-    c = np.linalg.inv(cinv)
-    a = CSeriesMat2.from_constant(cinv, n) @ system.A @ CSeriesMat2.from_constant(c, n)
-    a_coeffs = [a.coeff(l) for l in range(n)]
     ka = 0.0
     for l in range(1, n):
         m = float(np.max(np.abs(a_coeffs[l])))
         if m > 0:
             ka = max(ka, m ** (1.0 / l))
-    t21 = np.zeros(n, dtype=complex)
-    t22 = np.zeros(n, dtype=complex)
-    tnorm = [0.0] * n
-    for l in range(1, n):
-        acc1 = a_coeffs[l][0, 0]
-        acc2 = a_coeffs[l][0, 1]
-        for j in range(1, l):
-            a12 = a_coeffs[j][0, 1]
-            acc1 += a12 * t21[l - j]
-            acc2 += a12 * t22[l - j]
-        t21[l], t22[l] = -acc1, -acc2
-        tnorm[l] = max(abs(t21[l]), abs(t22[l]))
+    tnorm = [0.0] + [max(abs(t21[l]), abs(t22[l])) for l in range(1, n)]
     return ka, tnorm

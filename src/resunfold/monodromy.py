@@ -208,40 +208,6 @@ def auto_contour(system: ParametricSystem, validity_radius: float = math.inf) ->
     return Contour.circle(c, radius)
 
 
-def contour_integral(fvals_fn, contour: Contour, n0: int = 64, tol: float = 1e-10,
-                     max_doublings: int = 12) -> complex:
-    """Composite-trapezoid contour integral with doubling until stable.
-
-    For circles the trapezoid rule converges spectrally, so this is cheap
-    and accurate for the Liouville determinant check.
-    """
-    prev = None
-    n = n0
-    for _ in range(max_doublings):
-        total = 0.0 + 0.0j
-        for z, dz, L in contour.segments():
-            ts = np.linspace(0.0, L, n + 1)
-            zs = np.array([z(t) for t in ts])
-            dzs = np.array([dz(t) for t in ts])
-            vals = fvals_fn(zs) * dzs
-            total += np.trapezoid(vals, ts)
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        n *= 2
-    return prev
-
-
-def liouville_defect(system: ParametricSystem, contour: Contour, M: np.ndarray) -> float:
-    """|det M - exp(contour integral of tr A / h)|."""
-    def f(zs):
-        tr = system.A.a11.eval(zs) + system.A.a22.eval(zs)
-        return tr / system.h_at(zs)
-
-    integral = contour_integral(f, contour)
-    return float(abs(np.linalg.det(M) - cmath.exp(integral)))
-
-
 def gamma_numeric(system: ParametricSystem, F: FormalInvariants | None = None,
                   tol: float = 1e-9, validity_radius: float = math.inf,
                   contour: Contour | None = None) -> MonodromyResult:

@@ -1,12 +1,11 @@
-"""Universal normal forms (q-form and b-form), the gamma <-> q solver, and
-the analytic-equivalence decision on invariants.
+"""Universal normal forms (q-form and b-form), the closed-form gamma <-> q
+parameterization, and the analytic-equivalence decision on invariants.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .algebra import CSeries, CSeriesMat2
 from .invariants import FormalInvariants, NonGeneric, extract_formal
@@ -18,40 +17,17 @@ class DegenerateDenominator(ArithmeticError):
     """b-form beta algebra breaks down: 1 - b h1 + b^2 h0 == 0."""
 
 
-class NoConvergence(RuntimeError):
-    """Newton iteration for q failed to converge."""
-
-
-@dataclass(frozen=True)
-class NormalFormParams:
-    """Parameters of a realized normal form.
-
-    For the q variant ``gamma()`` is -2 cos(pi sqrt(1+4q)); for the b
-    variant beta encodes the lower-left polynomial beta(z) = beta0 +
-    beta1 z and ``gamma()`` is 2 cos(2 pi sqrt(b beta1)).
-    """
-
-    variant: str
-    F: FormalInvariants
-    q: complex | None = None
-    b: complex | None = None
-    beta0: complex | None = None
-    beta1: complex | None = None
-
-    def gamma(self) -> complex:
-        if self.variant == "Q-form":
-            return gamma_of_q(self.q)
-        return 2.0 * cmath.cos(2.0 * math.pi * cmath.sqrt(self.b * self.beta1))
-
-    def build(self, order: int = 24):
-        if self.variant == "Q-form":
-            return build_q_form(self.F, self.q, order)
-        return build_b_form(self.F, self.b, order)
-
-
 def gamma_of_q(q: complex) -> complex:
     """-2 cos(pi sqrt(1 + 4 q)); entire in q."""
     return -2.0 * cmath.cos(math.pi * cmath.sqrt(1.0 + 4.0 * q))
+
+
+def q_from_gamma(gamma: complex, sign: int = 1, sheet: int = 0) -> complex:
+    """Q with gamma = 2 cos(2 pi Q); principal arccos, optional other branch.
+
+    q = Q (Q + 1) inverts gamma_of_q, since 1 + 4q = (2Q + 1)^2.
+    """
+    return sign * cmath.acos(gamma / 2.0) / (2.0 * math.pi) + sheet
 
 
 def gamma_of_b(F: FormalInvariants, b: complex) -> complex:
@@ -97,49 +73,6 @@ def build_b_form(F: FormalInvariants, b: complex, order: int = 24) -> Parametric
     a21 = CSeries([beta0, beta1], order)
     A = CSeriesMat2(lam, a12, a21, lam)
     return ParametricSystem(F.h0, F.h1, A)
-
-
-def q_form_params(F: FormalInvariants, q: complex) -> NormalFormParams:
-    return NormalFormParams("Q-form", F, q=q)
-
-
-def b_form_params(F: FormalInvariants, b: complex) -> NormalFormParams:
-    beta0, beta1 = _beta_coeffs(F, b)
-    return NormalFormParams("B-form", F, b=b, beta0=beta0, beta1=beta1)
-
-
-def solve_q(gamma_target: complex, q_seed: complex, tol: float = 1e-12,
-            max_iter: int = 100) -> complex:
-    """Newton solve of -2 cos(pi sqrt(1+4q)) = gamma_target from q_seed.
-
-    The map is entire in q; the derivative 4 pi sin(pi u)/u (u = sqrt(1+4q))
-    is computed analytically, with the removable singularity at u = 0
-    filled in.
-    """
-    q = complex(q_seed)
-    for _ in range(max_iter):
-        u = cmath.sqrt(1.0 + 4.0 * q)
-        f = -2.0 * cmath.cos(math.pi * u) - gamma_target
-        if abs(f) < tol:
-            return q
-        if abs(u) < 1e-8:
-            df = 4.0 * math.pi * math.pi * (1.0 - (math.pi * abs(u)) ** 2 / 6.0)
-        else:
-            df = 4.0 * math.pi * cmath.sin(math.pi * u) / u
-        if df == 0:
-            raise NoConvergence("vanishing derivative in Newton step")
-        step = f / df
-        q = q - step
-    u = cmath.sqrt(1.0 + 4.0 * q)
-    if abs(-2.0 * cmath.cos(math.pi * u) - gamma_target) < tol:
-        return q
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
-
-
-def q_seed_for(gamma_target: complex) -> complex:
-    """Principal-branch seed: u = arccos(-gamma/2)/pi, q = (u^2 - 1)/4."""
-    u = cmath.acos(-gamma_target / 2.0) / math.pi
-    return (u * u - 1.0) / 4.0
 
 
 def decide_equivalence(system_a: ParametricSystem, system_b: ParametricSystem,

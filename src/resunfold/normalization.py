@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.signal import lfilter
 
 from .algebra import CSeries, PoleAtNonPositiveInteger, log_gamma
 from .geometry import DomainConfig, RamifiedPoint, TrajectoryRecord, trace_trajectory
+from .normal_forms import q_from_gamma
 
 
 class ContractionViolated(RuntimeError):
@@ -74,6 +73,33 @@ def _eval_r(r, x):
     return r(x)
 
 
+def _backward_recurrence(log_E: complex, n: int):
+    """Solver for H_j = c_j + E H_{j+1} (j < n, H_n = 0) with E = exp(log_E).
+
+    Each block of B samples is one E^k-weighted reverse cumulative sum,
+    rescaled by E^-k; B keeps |E|^-B <= e^200 so nothing overflows for
+    |E| < 1.  The factors depend on E only, so they are computed once here
+    and shared by every call of the returned function.
+    """
+    decay = -log_E.real
+    B = n if decay * n <= 200.0 else max(1, int(200.0 / decay))
+    k = np.arange(B + 1)
+    pw = np.exp(k * log_E)
+    pw_inv = np.exp(-k * log_E)
+
+    def solve(c: np.ndarray) -> np.ndarray:
+        H = np.empty_like(c)
+        carry = 0.0
+        for lo in range(((n - 1) // B) * B, -1, -B):
+            m = min(B, n - lo)
+            acc = np.cumsum((pw[:m] * c[lo:lo + m])[::-1])[::-1]
+            H[lo:lo + m] = pw_inv[:m] * (acc + pw[m] * carry)
+            carry = H[lo]
+        return H
+
+    return solve
+
+
 def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
             max_sweeps: int = 80, ratio_bound: float = 0.75) -> PSolution:
     """Picard iteration for the bounded solution with p(s_i) = 0.
@@ -103,6 +129,7 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
     inv2s = 1.0 / (2.0 * s)
 
     E = cmath.exp(-w * dxi)
+    backward = _backward_recurrence(-w * dxi, len(s))
     # exponentially weighted trapezoid weights on one step
     if abs(w * dxi) > 1e-8:
         J0 = (1.0 - E) / w
@@ -117,13 +144,11 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
     history: list[float] = []
     for sweep in range(max_sweeps):
         G = chi_vals * ((1.0 - p * p) * inv2s + (1.0 + p) ** 2 * r_vals)
-        # H_j = e^{-w dxi} H_{j+1} + (w_here G_j + w_next G_{j+1});
-        # backward linear recurrence, evaluated as an IIR filter
+        # H_j = e^{-w dxi} H_{j+1} + (w_here G_j + w_next G_{j+1})
         c = w_here * G
         c[:-1] += w_next * G[1:]
         c[-1] += G[-1] / w  # analytic tail beyond the last sample
-        H = lfilter([1.0], [1.0, -E], c[::-1])[::-1]
-        p_new = -w * H
+        p_new = -w * backward(c)
         delta = float(np.max(np.abs(p_new - p)))
         history.append(delta)
         if sweep >= 1 and history[-2] > 1e-14:
@@ -190,6 +215,21 @@ def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
                             "converged", fwd.target, 1)
 
 
+def _running_simpson(f: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative integral of uniform samples f (spacing h), starting at 0.
+
+    Every interval uses the 3-point rule h/12 (5, 8, -1), anchored on its
+    left and right end in turn; the last interval is right-anchored.
+    """
+    left = h / 12.0 * (5.0 * f[:-2] + 8.0 * f[1:-1] - f[2:])    # [i, i+1]
+    right = h / 12.0 * (-f[:-2] + 8.0 * f[1:-1] + 5.0 * f[2:])  # [i+1, i+2]
+    parts = np.empty(len(f) - 1, dtype=np.result_type(f, h))
+    parts[:-1:2] = left[::2]
+    parts[1::2] = right[::2]
+    parts[-1] = right[-1]
+    return np.concatenate(([0.0], np.cumsum(parts)))
+
+
 @dataclass(frozen=True)
 class FAssembly:
     """Sampled diagonalizing transformation along one arc.
@@ -237,14 +277,8 @@ def assemble_F(p_i_sol: PSolution, p_j_sol: PSolution, rp: RamifiedPoint,
     chi_vals = ((s * s - mu) ** 2 - arc.eps) / (4.0 * s * s)
     ds_dxi = w * chi_vals
 
-    def cum(g):
-        # cumulative_simpson mishandles complex input: split the parts
-        vals = g * ds_dxi
-        return (cumulative_simpson(vals.real, x=arc.xi, initial=0.0)
-                + 1j * cumulative_simpson(vals.imag, x=arc.xi, initial=0.0))
-
-    I_jP = cum(2.0 * beta_jP)                       # from the -s_j end
-    I_i_rev = cum(2.0 * beta_i)
+    I_jP = _running_simpson(2.0 * beta_jP * ds_dxi, arc.dxi)   # from the -s_j end
+    I_i_rev = _running_simpson(2.0 * beta_i * ds_dxi, arc.dxi)
     I_i = I_i_rev - I_i_rev[-1]                     # from the s_i end
 
     e_plus = np.exp(I_jP)
@@ -306,8 +340,10 @@ def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     Returns (p_i_sol on the arc, p_j_sol on the reversed-negated arc).
     """
     if seed_dir is None:
-        seed_dir = (rp.s2 - rp.s1) / abs(rp.s2 - rp.s1) if abs(rp.s2 - rp.s1) > 1e-12 \
-            else 1j * rp.s1 / abs(rp.s1)
+        d = rp.s2 - rp.s1 if abs(rp.s2 - rp.s1) > 1e-12 else 1j * rp.s1
+        if d == 0:
+            raise NoOverlap("no default seed direction at mu = eps = 0")
+        seed_dir = d / abs(d)
     arc = connecting_arc(rp, omega, cfg, seed_dir, xi_max=xi_max)
     sol_i = solve_p(arc, r, rp, tol=tol)
     sol_j = solve_p(arc.reversed_negated(), r, rp, tol=tol)
@@ -337,11 +373,6 @@ def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
 
 # ---------------------------------------------------------------------------
 # Gamma-function connection coefficients
-
-
-def q_from_gamma(gamma: complex, sign: int = 1, sheet: int = 0) -> complex:
-    """Q with gamma = 2 cos(2 pi Q); principal arccos, optional other branch."""
-    return sign * cmath.acos(gamma / 2.0) / (2.0 * math.pi) + sheet
 
 
 def _lg(z: complex) -> complex:

@@ -46,13 +46,6 @@ class ParametricSystem:
         d = cmath.sqrt(self.h1 * self.h1 - 4.0 * self.h0)
         return (-self.h1 + d) / 2.0, (-self.h1 - d) / 2.0
 
-    def rhs_at(self, z) -> np.ndarray:
-        """A(z)/h(z), the coefficient matrix of y' = (A/h) y."""
-        return self.A.eval(z) / self.h_at(z)
-
-    def with_A(self, A: CSeriesMat2) -> "ParametricSystem":
-        return ParametricSystem(self.h0, self.h1, A)
-
     # -- JSON descriptor ----------------------------------------------------
 
     def to_descriptor(self) -> dict:

@@ -304,12 +304,14 @@ def test_criterion_10_equivalence_decision(tmp_path):
         ok_equiv &= (rc == 0)
 
     # pairs with gamma perturbed by 1e-3 must be rejected
-    from resunfold.normal_forms import gamma_of_q, solve_q
+    from resunfold.normal_forms import gamma_of_q, q_from_gamma
     ok_not = True
     for k in range(10):
         q = 0.3 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         g_target = gamma_of_q(q) + 1e-3
-        q2 = solve_q(g_target, q + 0.01)
+        # q2 = Q (Q + 1) on the branch nearest q
+        Qs = [q_from_gamma(g_target, sign, sheet) for sign in (1, -1) for sheet in (-1, 0, 1)]
+        q2 = min((Q * (Q + 1) for Q in Qs), key=lambda v: abs(v - q))
         a = build_q_form(F, q)
         b = build_q_form(F, q2)
         pa, pb = tmp_path / f"na{k}.json", tmp_path / f"nb{k}.json"

@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import resunfold
 from conftest import model_system, random_gauge
 from resunfold.cli import main
 from resunfold.invariants import FormalInvariants, extract_formal
 from resunfold.monodromy import gamma_numeric
 from resunfold.normal_forms import build_q_form
 from resunfold.system import ParametricSystem, gauge_apply
+
+SRC = str(Path(resunfold.__file__).resolve().parents[1])
 
 
 def write_system(system, path):
@@ -155,11 +164,58 @@ def test_normcheck_infeasible_r(tmp_path):
     assert rc == 2
 
 
-def test_portrait_threads(tmp_path):
+def test_manifest_records_parsed_argv(tmp_path):
     out = tmp_path / "o"
-    assert main(["--out", str(out), "--threads", "2", "portrait",
-                 "--mu", "0.06", "--eps", "0.001", "--grid", "21"]) == 0
-    assert (out / "trajectories.csv").exists()
+    argv = ["--out", str(out), "--seed", "3", "kappa", "--samples", "5", "--no-rows"]
+    assert main(argv) == 0
+    assert json.load(open(out / "manifest.json"))["argv"] == argv
+
+
+def run_python(code, *args):
+    """``python -c code args`` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ["portrait", "--mu", "abc", "--eps", "0.001"],
+    ["portrait", "--mu", "0.06", "--eps", "1,2,3"],
+    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega", "1,x"],
+    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--seed-dir", "abc"],
+    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "0.1;abc"],
+])
+def test_bad_numbers_exit_parse(args, tmp_path):
+    proc = run_python("import sys; from resunfold.cli import main; sys.exit(main())",
+                      "--out", str(tmp_path / "o"), *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "cannot parse complex number" in proc.stderr
+
+
+def test_normcheck_reports_only_arc_errors(tmp_path, monkeypatch):
+    import resunfold.cli as cli
+    from resunfold.normalization import ContractionViolated
+
+    def fail(exc):
+        def inner_arc_solutions(*args, **kwargs):
+            raise exc
+        return inner_arc_solutions
+
+    argv = ["--out", str(tmp_path / "o"), "normcheck", "--mu", "0.05", "--eps", "0.0016"]
+    # the confluent point has no default arc seed: a documented error
+    assert main(argv[:3] + ["--mu", "0", "--eps", "0"]) == 2
+    monkeypatch.setattr(cli, "inner_arc_solutions", fail(ContractionViolated("slow")))
+    assert main(argv) == 2
+    # any other error is a bug and must not pass for a parse error
+    monkeypatch.setattr(cli, "inner_arc_solutions", fail(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        main(argv)
+
+
+def test_import_does_not_load_scipy():
+    proc = run_python("import sys, resunfold; assert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_outputs_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from resunfold.monodromy import (
     auto_contour,
     gamma_closed_form,
     gamma_numeric,
-    liouville_defect,
     propagate,
 )
+from resunfold.invariants import extract_formal
 from resunfold.system import ParametricSystem, gauge_apply
 
 
@@ -122,7 +123,9 @@ def test_liouville_determinant(rng):
         s = random_system(rng, coeff_scale=0.4, root_scale=0.2)
         contour = auto_contour(s)
         M = propagate(s, contour, tol=1e-10)
-        assert liouville_defect(s, contour, M) < 1e-8
+        # det M = exp(contour integral of tr A / h) = exp(4 pi i lambda1)
+        lam1 = extract_formal(s).lambda1
+        assert abs(np.linalg.det(M) - cmath.exp(4j * math.pi * lam1)) < 1e-8
 
     # traceless reduced systems have det M == 1
     s = model_system(0.1, 0.01)

@@ -9,16 +9,20 @@ from resunfold.invariants import FormalInvariants, extract_formal
 from resunfold.monodromy import gamma_numeric
 from resunfold.normal_forms import (
     DegenerateDenominator,
-    NoConvergence,
     build_b_form,
     build_q_form,
     decide_equivalence,
     gamma_of_b,
     gamma_of_q,
-    q_seed_for,
-    solve_q,
+    q_from_gamma,
 )
 from resunfold.system import gauge_apply
+
+
+def q_closed_form(gamma):
+    """q = Q (Q + 1) with gamma = 2 cos(2 pi Q), on the CLI's default branch."""
+    Q = q_from_gamma(gamma, sign=-1)
+    return Q * (Q + 1)
 
 
 def random_invariants(rng, lam_scale=0.05):
@@ -90,23 +94,26 @@ def test_b_form_degenerate_denominator():
 
 
 def test_solve_q_trivial_values():
-    assert abs(solve_q(2.0, 0.0) - 0.0) < 1e-12
-    assert abs(solve_q(-2.0, -0.25) + 0.25) < 1e-12
-    assert abs(solve_q(0.0, -0.19) + 3.0 / 16.0) < 1e-12
+    assert abs(q_closed_form(2.0) - 0.0) < 1e-12
+    assert abs(q_closed_form(-2.0) + 0.25) < 1e-12
+    assert abs(q_closed_form(0.0) + 3.0 / 16.0) < 1e-12
 
 
 def test_solve_q_round_trip(rng):
-    for _ in range(20):
-        q = 0.4 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        g = gamma_of_q(q)
-        assert abs(solve_q(g, q + 0.01) - q) < 1e-10
+    """Some sign/sheet choice of q_from_gamma recovers any given q."""
+    for scale in (0.4, 3.0):
+        for _ in range(20):
+            q = scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            g = gamma_of_q(q)
+            Qs = [q_from_gamma(g, sign, sheet) for sign in (1, -1) for sheet in (-2, -1, 0, 1, 2)]
+            assert min(abs(Q * (Q + 1) - q) for Q in Qs) < 1e-10
 
 
 def test_solve_q_seed_helper(rng):
+    """gamma_of_q inverts the closed-form q on the default branch."""
     for _ in range(10):
         g = 2.0 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        q = solve_q(g, q_seed_for(g))
-        assert abs(gamma_of_q(q) - g) < 1e-12
+        assert abs(gamma_of_q(q_closed_form(g)) - g) < 1e-12
 
 
 def test_equivalence_gauge_pair(rng):
@@ -130,7 +137,7 @@ def test_equivalence_cross_normal_form(rng):
     F = random_invariants(rng, lam_scale=0.0)
     b = 0.2
     g = gamma_of_b(F, b)
-    q = solve_q(g, q_seed_for(g))
+    q = q_closed_form(g)
     verdict, report = decide_equivalence(build_q_form(F, q), build_b_form(F, b),
                                          tol=1e-6)
     assert verdict == "Equivalent", report
@@ -160,7 +167,7 @@ def test_realizability(rng):
     for k in range(50):
         F = random_invariants(rng)
         gamma_target = 2.0 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        q = solve_q(gamma_target, q_seed_for(gamma_target))
+        q = q_closed_form(gamma_target)
         s = build_q_form(F, q)
         assert extract_formal(s).close_to(F, 1e-12)
         if k % 5 == 0:
@@ -168,17 +175,10 @@ def test_realizability(rng):
             assert abs(res.gamma - gamma_target) < 1e-6
 
 
-def test_solve_q_no_convergence():
-    with pytest.raises(NoConvergence):
-        solve_q(5.0 + 2.0j, 0.0, max_iter=0)
-
-
 def test_normal_form_params_gamma(rng):
-    from resunfold.normal_forms import b_form_params, q_form_params
     F = random_invariants(rng, lam_scale=0.0)
-    qp = q_form_params(F, 0.12 - 0.03j)
-    res = gamma_numeric(qp.build(), tol=1e-9)
-    assert abs(qp.gamma() - res.gamma) < 1e-8
-    bp = b_form_params(F, 0.15)
-    res_b = gamma_numeric(bp.build(), tol=1e-9)
-    assert abs(bp.gamma() - res_b.gamma) < 1e-8
+    q = 0.12 - 0.03j
+    res = gamma_numeric(build_q_form(F, q), tol=1e-9)
+    assert abs(gamma_of_q(q) - res.gamma) < 1e-8
+    res_b = gamma_numeric(build_b_form(F, 0.15), tol=1e-9)
+    assert abs(gamma_of_b(F, 0.15) - res_b.gamma) < 1e-8

@@ -18,11 +18,13 @@ from resunfold.normalization import (
     inner_arc_solutions,
     kappa_formulas,
     outer_arc_solutions,
+    _backward_recurrence,
+    _running_simpson,
     p_equation_residual,
-    q_from_gamma,
     solve_p,
     verify_cocycles,
 )
+from resunfold.normal_forms import q_from_gamma
 
 GENERIC_MU, GENERIC_EPS = 0.05, 0.0016
 
@@ -102,6 +104,32 @@ def test_picard_with_nonzero_r():
     asm = assemble_F(sol_i, sol_j, rp, r=r)
     assert asm.det_rel_std < 1e-6
     assert diagonalization_residual(asm, r) < 1e-6
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_running_simpson_exact_on_quadratics(n):
+    """The 3-point rule is exact for quadratics on odd and even sample counts."""
+    h = 0.37
+    xi = np.arange(n) * h
+    f = (0.5 - 2.0j) + (1.5 + 0.25j) * xi - (0.75 - 1.0j) * xi ** 2
+    exact = (0.5 - 2.0j) * xi + (1.5 + 0.25j) * xi ** 2 / 2 - (0.75 - 1.0j) * xi ** 3 / 3
+    assert float(np.max(np.abs(_running_simpson(f, h) - exact))) < 1e-12
+
+
+def test_backward_recurrence_matches_loop(rng):
+    """Blocked E^-k weighted sums against the plain recurrence H_j = c_j + E H_{j+1};
+    |E| = e^-0.5 gives blocks of 400 samples, so 2,000 samples need five."""
+    log_E = -0.5 + 0.3j
+    n = 2000
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    E = cmath.exp(log_E)
+    ref = np.empty(n, dtype=complex)
+    acc = 0.0
+    for j in range(n - 1, -1, -1):
+        acc = c[j] + E * acc
+        ref[j] = acc
+    H = _backward_recurrence(log_E, n)(c)
+    assert float(np.max(np.abs(H - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
 def test_solve_p_requires_convergent_trajectory():
