@@ -46,6 +46,7 @@ from .monodromy import (
     MonodromyResult,
     SingularityTooClose,
     StepUnderflow,
+    Transport,
     gamma_closed_form,
     gamma_numeric,
     propagate,

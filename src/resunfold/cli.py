@@ -5,7 +5,8 @@ Every run writes a manifest echo next to its outputs so results are
 reproducible from the recorded arguments alone.
 
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
-error, 3 NonGeneric, 4 Indeterminate.
+error (including an invalid system descriptor or a rotation omega outside
+the sector |arg omega| < eta), 3 NonGeneric, 4 Indeterminate.
 """
 
 from __future__ import annotations
@@ -136,6 +137,17 @@ def _json_complex(value) -> complex:
     return complex(*value) if isinstance(value, list) else complex(value)
 
 
+def _rotation(args):
+    """omega from --omega or --omega-arg; None, after a one-line message,
+    unless omega != 0 and |arg omega| < eta."""
+    omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
+    if omega == 0 or abs(cmath.phase(omega)) >= args.eta:
+        print(f"error: omega = {omega} must be nonzero with |arg omega| < eta = {args.eta:.6g}",
+              file=sys.stderr)
+        return None
+    return omega
+
+
 def _ensure_outdir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -241,7 +253,9 @@ def cmd_normalform(args) -> int:
 
 def cmd_portrait(args) -> int:
     mu, eps = args.mu, args.eps
-    omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
+    omega = _rotation(args)
+    if omega is None:
+        return EXIT_PARSE
     cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L,
                        xi_max=args.xi_max)
     if not cfg.feasible(args.sup_sr):
@@ -327,7 +341,9 @@ def cmd_kappa(args) -> int:
 
 def cmd_normcheck(args) -> int:
     mu, eps = args.mu, args.eps
-    omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
+    omega = _rotation(args)
+    if omega is None:
+        return EXIT_PARSE
     r = CSeries(args.r_coeffs, args.order) if args.r_coeffs else None
     cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L,
                        trace_step=args.trace_step,
@@ -381,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="comparison tolerance for equivalence decisions")
     p.add_argument("--gamma-tol", type=float, default=1e-9, dest="gamma_tol",
-                   help="local error tolerance of the monodromy integrator")
+                   help="tolerance of the monodromy transport's Taylor series")
     p.add_argument("--order", type=int, default=24, help="series truncation order")
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)

@@ -2,7 +2,8 @@
 
 gamma = exp(-2 pi i lambda1) * tr M where M is the transport around both
 zeros of h in the positive direction.  The trace makes the result
-independent of the fundamental solution and of the basepoint.
+independent of the fundamental solution and of the basepoint.  The
+transport is Taylor-series analytic continuation with an error bound.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class SingularityTooClose(ValueError):
 
 
 class StepUnderflow(RuntimeError):
-    """Adaptive integrator step fell below the resolvable size."""
+    """A local Taylor series did not converge within the fixed term cap."""
 
 
 @dataclass(frozen=True)
@@ -56,35 +57,31 @@ class Contour:
         return cls("polyline", 1, points=pts)
 
     def segments(self):
-        """Yield (z(t), dz(t), length) callables per arclength segment."""
+        """Yield (z(t), length) per segment, t the arclength (|dz/dt| = 1)."""
         if self.kind == "circle":
             c, R, sgn = self.center, self.radius, self.orientation
-            L = 2.0 * math.pi * R
 
             def z(t):
                 return c + R * cmath.exp(1j * sgn * t / R)
 
-            def dz(t):
-                return 1j * sgn * cmath.exp(1j * sgn * t / R)
-
-            yield z, dz, L
+            yield z, 2.0 * math.pi * R
         else:
             for a, b in zip(self.points[:-1], self.points[1:]):
                 L = abs(b - a)
                 if L == 0.0:
                     continue
-                u = (b - a) / L
-                yield (lambda t, a=a, u=u: a + u * t), (lambda t, u=u: u), L
+                yield (lambda t, a=a, u=(b - a) / L: a + u * t), L
 
     def sample(self, n: int = 256) -> np.ndarray:
-        out = []
-        for z, _dz, L in self.segments():
-            ts = np.linspace(0.0, L, n)
-            out.extend(z(t) for t in ts)
-        return np.asarray(out)
+        """n points per segment, uniform in arclength, ends included."""
+        u = np.linspace(0.0, 1.0, n)
+        if self.kind == "circle":
+            return self.center + self.radius * np.exp(2j * math.pi * self.orientation * u)
+        pieces = [a + (b - a) * u for a, b in zip(self.points[:-1], self.points[1:]) if b != a]
+        return np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
 
     def start(self) -> complex:
-        for z, _dz, _L in self.segments():
+        for z, _L in self.segments():
             return z(0.0)
         raise ValueError("empty contour")
 
@@ -101,70 +98,171 @@ class Contour:
 
 @dataclass(frozen=True)
 class MonodromyResult:
+    """gamma and its error bound, the transport M, the number of Taylor
+    steps, and the Liouville self-check |det M - exp(4 pi i lambda1)|."""
+
     M: np.ndarray
     gamma: complex
     est_error: float
+    steps: int
+    det_defect: float
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+@dataclass(frozen=True)
+class Transport:
+    """Transport matrix M with first-order bounds on the infinity norm of
+    its error (``error``) and on the error of its trace (``trace_error``)."""
+
+    M: np.ndarray
+    error: float
+    trace_error: float
+    steps: int
 
 
-def _rk45_segment(f, y0: np.ndarray, L: float, tol: float) -> np.ndarray:
-    """Integrate y' = f(t, y) over t in [0, L], local error <= tol per unit t."""
-    t, y = 0.0, y0
-    h = min(L, max(L * 1e-3, 10.0 * tol ** 0.2 * L * 1e-2))
-    while t < L:
-        h = min(h, L - t)
-        ks = []
-        for i in range(7):
-            yi = y
-            for j, aij in enumerate(_DP_A[i]):
-                if aij != 0.0:
-                    yi = yi + (h * aij) * ks[j]
-            ks.append(f(t + _DP_C[i] * h, yi))
-        y5 = y
-        y4 = y
-        for i in range(7):
-            if _DP_B5[i] != 0.0:
-                y5 = y5 + (h * _DP_B5[i]) * ks[i]
-            if _DP_B4[i] != 0.0:
-                y4 = y4 + (h * _DP_B4[i]) * ks[i]
-        err = float(np.max(np.abs(y5 - y4)))
-        scale = max(1.0, float(np.max(np.abs(y5))))
-        # never demand less than the roundoff floor of the state itself
-        tol_step = max(tol * h * scale, 30.0 * 2.3e-16 * scale)
-        if err <= tol_step or h <= 1e-13 * L:
-            if h <= 1e-13 * L and err > 100.0 * tol_step:
-                raise StepUnderflow("step size underflow in contour transport")
-            t += h
-            y = y5
-        factor = 0.9 * (tol_step / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    return y
+_U = 2.0 ** -53     # unit roundoff
+_TAIL = 1e-5        # a local series stops once its tail bound is below _TAIL * tol
+_MAX_TERMS = 600    # ... or fails with StepUnderflow after this many terms
+_BATCH = 4          # terms generated between two convergence checks
+_PANELS = 8         # Riemann panels bounding the integral of |A| / |h| on a step
+# a step shorter than half the root distance keeps that integral, the log of
+# the local Gronwall factor, below this (and exp from overflowing)
+_MAX_LOG_GROWTH = 20.0
 
 
-def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> np.ndarray:
+def _norm(m):
+    """Infinity norm (max row sum) of a 2x2 matrix or of each in a stack."""
+    return np.abs(m).sum(axis=-1).max(axis=-1)
+
+
+def _coefficient_stack(A) -> np.ndarray:
+    """A as a (d+1, 2, 2) stack of z^k coefficients, trailing zeros trimmed."""
+    stack = np.array([[A.a11.coeffs, A.a12.coeffs],
+                      [A.a21.coeffs, A.a22.coeffs]]).transpose(2, 0, 1)
+    nonzero = np.flatnonzero(np.any(stack != 0, axis=(1, 2)))
+    d = int(nonzero[-1]) if nonzero.size else 0
+    return np.ascontiguousarray(stack[:d + 1])
+
+
+class _Recentre:
+    """Pascal shift of a coefficient stack: the coefficients of A(c + s)."""
+
+    def __init__(self, stack: np.ndarray):
+        d = len(stack) - 1
+        k = np.arange(d + 1)
+        self.flat = stack.reshape(d + 1, 4)
+        self.degrees = k
+        self.shift = np.clip(k[None, :] - k[:, None], 0, None)        # j - k
+        self.binom = np.array([[math.comb(j, i) for j in range(d + 1)]
+                               for i in range(d + 1)], dtype=float)  # C(j, k)
+
+    def __call__(self, c: complex) -> np.ndarray:
+        pascal = self.binom * (complex(c) ** self.degrees)[self.shift]
+        return (pascal @ self.flat).reshape(-1, 2, 2)
+
+
+def _log_growth(beta: np.ndarray, r: float, ra: float, rb: float) -> float:
+    """Upper Riemann sum of int_0^r |A(c+s)| / |h(c+s)| d|s| on a segment
+    from c: ``beta`` holds the norms of the coefficients of A(c+s) and the
+    integrand increases with |s|."""
+    taus = r * np.arange(1, _PANELS + 1) / _PANELS
+    g = np.polyval(beta[::-1], taus) / ((ra - taus) * (rb - taus))
+    return r / _PANELS * float(g.sum())
+
+
+def _taylor_step(B: np.ndarray, H0: complex, H1: complex, delta: complex,
+                 ra: float, rb: float, tail: float):
+    """Y(delta) for h(c+s) Y' = A(c+s) Y, Y(0) = I, from its Taylor series.
+
+    ``B`` holds the coefficients of A(c+s), ``H0 = h(c)``, ``H1 = h'(c)``,
+    and ``ra <= rb`` are the distances from c to the zeros of h, with
+    ``|delta| <= ra / 2``.  The coefficients follow the recurrence
+    ``H0 (n+1) Y_{n+1} = sum_k B_k Y_{n-k} - H1 n Y_n - (n-1) Y_{n-1}``.
+
+    The truncation bound is Gronwall's.  On the segment [0, delta],
+    ``|h(c+s)| >= (ra - |s|)(rb - |s|)`` and ``|A(c+s)| <= sum |B_k| |s|^k``;
+    the series P truncated after n terms has the polynomial defect
+    ``R = h P' - A P``, so ``|Y - P| <= exp(int |A|/|h|) int |R|/|h|``.
+    Terms are added until that bound is below ``tail`` times the largest
+    term.  Returns (Y(delta), bound), where the bound adds a rounding
+    floor of 8 units in the last place of the summed terms.
+    """
+    d = len(B) - 1
+    pad = max(d, 1)
+    r = abs(delta)
+    beta = _norm(B)
+    growth = math.exp(_log_growth(beta, r, ra, rb))
+    den = (ra - r) * (rb - r)
+    # [B_p .. B_1 - (n-1), B_0 - n H1] / (H0 (n+1)) times [Y_{n-p}; ..; Y_n]
+    # is Y_{n+1} (B_k = 0 for k > d); built for a chunk of n at a time
+    Bcat = np.zeros((2, pad + 1, 2), dtype=complex)
+    Bcat[:, pad - d:] = B[::-1].transpose(1, 0, 2)
+    Bcat = Bcat.reshape(2, 2 * (pad + 1))
+    Jn = np.zeros_like(Bcat)
+    Jn[:, -4:-2] = np.eye(2)
+    Jn[:, -2:] = H1 * np.eye(2)
+    Bcat[:, -4:-2] += np.eye(2)
+    Y = np.zeros((pad + _MAX_TERMS + _BATCH + 1, 2, 2), dtype=complex)
+    Y[pad] = np.eye(2)
+    rpow = r ** np.arange(_MAX_TERMS + _BATCH + d + 2)
+    n = 0
+    largest = 1.0
+    while True:
+        for _ in range(_BATCH):
+            if n % 64 == 0:
+                ns = np.arange(n, n + 64)[:, None, None]
+                chunk = (Bcat - ns * Jn) / (H0 * (ns + 1))
+            np.matmul(chunk[n % 64], Y[n: pad + n + 1].reshape(-1, 2),
+                      out=Y[pad + n + 1])
+            n += 1
+        last = float(np.abs(Y[pad + n]).max()) * rpow[n]
+        largest = max(largest, last)
+        if last > 1e-2 * tail * largest and n < _MAX_TERMS:
+            continue
+        # defect of P = sum_{m<n} Y_m s^m: its s^(n-1) coefficient is
+        # -H0 n Y_n; its s^(n+j) coefficient, j >= 0, is
+        # (n-1) Y_{n-1} [j = 0] - sum_{k>j} B_k Y_{n+j-k}
+        nu = _norm(Y[pad: pad + n + 1])
+        terms = nu[:n] * rpow[:n]
+        w = nu[n - 1::-1][:d]                    # |Y_{n-1}|, |Y_{n-2}|, ..
+        lag = np.correlate(beta[1:], w, "full")[len(w) - 1:] if d else np.zeros(1)
+        lag[0] += (n - 1) * nu[n - 1]
+        m = n + 1 + np.arange(len(lag))
+        defect = abs(H0) * nu[n] * rpow[n] + float(np.sum(lag * rpow[m] / m))
+        bound = growth * defect / den
+        if bound <= tail * float(terms.max()):
+            break
+        if n >= _MAX_TERMS:
+            raise StepUnderflow(f"local series did not converge within {_MAX_TERMS} "
+                                f"terms (tail bound {bound:.3e})")
+    T = np.tensordot(delta ** np.arange(n), Y[pad:pad + n], axes=1)
+    return T, bound + 8.0 * _U * float(terms.sum())
+
+
+def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> Transport:
     """Fundamental-matrix transport Phi(end) Phi(start)^{-1} along the contour.
 
-    Adaptive embedded Runge-Kutta 5(4) with local error <= tol per unit
-    arclength.  The contour must keep a tolerance-dependent clearance from
-    the zeros of h, measured relative to the root-spread scale.
+    Taylor-series analytic continuation.  From a contour point c, a step
+    covers at most half the distance from c to the nearer zero of h in
+    arclength (so its chord is as short), halved further while the local
+    Gronwall factor exceeds e^20, and the local series of the
+    solution, generated by the exact recurrence of h Y' = A Y, is summed
+    until its tail bound falls below 1e-5 * tol relative to its largest
+    term.  ``Transport.error`` bounds the infinity norm of the error of
+    M: the tail bound and rounding floor of every step, plus the gap
+    between the full series A at the step's end and the recentred
+    polynomial the step used, carried through the products of the step
+    transports.  The contour must keep a tolerance-dependent clearance
+    from the zeros of h, measured relative to the root-spread scale.
+
+    Raises ValueError for a tol outside [1e-13, 1e-6] or a non-finite h,
+    SingularityTooClose when the contour comes too near a zero of h, and
+    StepUnderflow when a local series does not converge within a fixed
+    number of terms.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
+    if not (cmath.isfinite(system.h0) and cmath.isfinite(system.h1)):
+        raise ValueError("h coefficients must be finite")
     roots = system.h_roots()
     spread = max(abs(roots[0] - roots[1]) / 2.0, 0.05)
     clearance = contour.min_distance(roots)
@@ -172,16 +270,65 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
         raise SingularityTooClose(
             f"contour clearance {clearance:.3e} below the safe distance for tol={tol}")
 
-    A = system.A
-    Y = np.eye(2, dtype=complex)
-    for z, dz, L in contour.segments():
+    recentre = _Recentre(_coefficient_stack(system.A))
+    Ts, bounds, Bs, ends, dist = [], [], [], [], []
+    for z, L in contour.segments():
+        t = 0.0
+        while t < L:
+            c = z(t)
+            ra, rb = sorted(abs(c - root) for root in roots)
+            if ra <= 1e-12 * spread:
+                raise SingularityTooClose(f"contour passes through a zero of h at {c}")
+            B = recentre(c)
+            dt = 0.5 * ra
+            while _log_growth(_norm(B), dt, ra, rb) > _MAX_LOG_GROWTH:
+                dt *= 0.5
+            t = L if dt >= L - t else t + dt
+            z1 = z(t)
+            T, bound = _taylor_step(B, system.h_at(c), 2.0 * c + system.h1,
+                                    z1 - c, ra, rb, _TAIL * tol)
+            Ts.append(T)
+            bounds.append(bound)
+            Bs.append(B)
+            ends.append((c, z1))
+            dist.append((ra, rb))
+    if not Ts:
+        return Transport(np.eye(2, dtype=complex), 0.0, 0.0, 0)
+    # a posteriori: the full series A at each step's end against the
+    # recentred polynomial the step used, a data defect acting over the step
+    c, z1 = np.array(ends).T
+    delta = z1 - c
+    recentred = np.einsum("nk,nkij->nij", delta[:, None] ** recentre.degrees, np.array(Bs))
+    gap = _norm(system.A.eval(z1).transpose(2, 0, 1) - recentred)
+    ra, rb = np.array(dist).T
+    r = np.abs(delta)
+    Ts = np.array(Ts)
+    local = np.array(bounds) + _norm(Ts) * r * gap / ((ra - r) * (rb - r))
+    return _carry(Ts, local)
 
-        def rhs(t, y):
-            zt = z(t)
-            return (dz(t) / system.h_at(zt)) * (A.eval(zt) @ y)
 
-        Y = _rk45_segment(rhs, Y, L, tol)
-    return Y
+def _carry(Ts: np.ndarray, local: np.ndarray) -> Transport:
+    """Multiply the step transports T_j and carry their error bounds E_j.
+
+    To first order the error of M = T_{N-1} .. T_0 is
+    sum_j Q_j (E_j P_j + F_j), with P_j = T_{j-1} .. T_0, Q_j =
+    T_{N-1} .. T_{j+1} and F_j the rounding of the product T_j P_j.  The
+    trace error is bounded cyclically: |tr(Q E P)| <= |E| sum|P Q|.
+    """
+    N = len(Ts)
+    P = np.empty_like(Ts)
+    Q = np.empty_like(Ts)
+    P[0] = Q[-1] = np.eye(2)
+    for j in range(1, N):
+        P[j] = Ts[j - 1] @ P[j - 1]
+        Q[N - 1 - j] = Q[N - j] @ Ts[N - j]
+    M = Ts[-1] @ P[-1]
+    nT, nP, nQ = _norm(Ts), _norm(P), _norm(Q)
+    rounding = 4.0 * _U * nT * nP                 # |F_j|
+    error = float(np.sum(nQ * (local * nP + rounding)))
+    loop = np.abs(P @ Q).sum(axis=(1, 2))
+    trace_error = float(np.sum(local * loop + rounding * np.abs(Q).sum(axis=(1, 2))))
+    return Transport(M, error, trace_error, N)
 
 
 def auto_contour(system: ParametricSystem, validity_radius: float = math.inf) -> Contour:
@@ -213,20 +360,24 @@ def gamma_numeric(system: ParametricSystem, F: FormalInvariants | None = None,
                   contour: Contour | None = None) -> MonodromyResult:
     """Monodromy invariant gamma = exp(-2 pi i lambda1) tr M.
 
-    M is the transport around both zeros of h, positively oriented.  The
-    returned estimate is computed twice (at tol and tol/10); est_error is
-    the difference of the two gamma values and the tighter run is reported.
+    M is the transport around both zeros of h, positively oriented, from
+    one ``propagate`` pass.  est_error bounds |gamma - exact|: the
+    transport's trace error bound plus rounding, or, when larger, the
+    Liouville defect |det M - exp(4 pi i lambda1)| scaled by 2 / |M| (a
+    perturbation dM moves det M by about |M| |dM|, tr M by up to 2 |dM|).
     """
     if F is None:
         F = extract_formal(system)
     if contour is None:
         contour = auto_contour(system, validity_radius)
+    tr = propagate(system, contour, tol)
+    M = tr.M
     phase = cmath.exp(-2j * math.pi * F.lambda1)
-    M_lo = propagate(system, contour, tol)
-    M_hi = propagate(system, contour, tol / 10.0)
-    g_lo = phase * (M_lo[0, 0] + M_lo[1, 1])
-    g_hi = phase * (M_hi[0, 0] + M_hi[1, 1])
-    return MonodromyResult(M_hi, g_hi, abs(g_hi - g_lo))
+    gamma = phase * (M[0, 0] + M[1, 1])
+    bound = abs(phase) * (tr.trace_error + 2.0 * _U * (abs(M[0, 0]) + abs(M[1, 1])))
+    det_defect = abs(np.linalg.det(M) - cmath.exp(4j * math.pi * F.lambda1))
+    liouville = 2.0 * abs(phase) * det_defect / max(1.0, float(_norm(M)))
+    return MonodromyResult(M, gamma, max(bound, liouville), tr.steps, det_defect)
 
 
 def gamma_closed_form(A0, A1) -> complex:

@@ -62,8 +62,12 @@ class ParametricSystem:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "ParametricSystem":
+        """Parse a descriptor; ValueError unless ``order >= 2`` and every
+        coefficient of h and A is finite."""
         try:
             order = int(d["order"])
+            if order < 2:
+                raise ValueError(f"order must be >= 2, got {order}")
             h = d["h"]
             h0 = complex(h[0], h[1])
             h1 = complex(h[2], h[3])
@@ -74,6 +78,9 @@ class ParametricSystem:
 
             A = CSeriesMat2(des(rows[0][0]), des(rows[0][1]),
                             des(rows[1][0]), des(rows[1][1]))
+            coeffs = [h0, h1, *(c for row in A.entries() for e in row for c in e.coeffs)]
+            if not all(cmath.isfinite(c) for c in coeffs):
+                raise ValueError("h and A must have finite coefficients")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"bad system descriptor: {exc}") from exc
         return cls(h0, h1, A)

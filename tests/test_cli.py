@@ -225,3 +225,42 @@ def test_outputs_deterministic(tmp_path):
     a = (tmp_path / "o1" / "invariants.json").read_text()
     b = (tmp_path / "o2" / "invariants.json").read_text()
     assert a == b
+
+
+@pytest.mark.parametrize("edit", ["nan_h0", "inf_A", "order_1"])
+@pytest.mark.parametrize("command", ["invariants", "equiv"])
+def test_invalid_descriptor_exit_parse(edit, command, tmp_path, capsys):
+    good = model_system(0.1, 0.01).to_descriptor()
+    bad = json.loads(json.dumps(good))
+    if edit == "nan_h0":
+        bad["h"][0] = float("nan")
+    elif edit == "inf_A":
+        bad["A"][1][0][1][0] = float("inf")
+    else:
+        bad["order"] = 1
+    pg, pb = tmp_path / "good.json", tmp_path / "bad.json"
+    pg.write_text(json.dumps(good))
+    pb.write_text(json.dumps(bad))
+    out = tmp_path / "o"
+    files = [str(pb)] if command == "invariants" else [str(pg), str(pb)]
+    assert main(["--out", str(out), command, *files]) == 2
+    assert "bad system descriptor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega=-1,0", "--grid", "11"],
+    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega", "0"],
+    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--omega=-1,0"],
+    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--omega-arg", "0.6"],
+])
+def test_rotation_outside_sector_exit_parse(args, tmp_path, monkeypatch, capsys):
+    import resunfold.cli as cli
+
+    def traced(*a, **k):
+        raise AssertionError("traced before the rotation was checked")
+    for name in ("classify_regions", "trace_trajectory", "inner_arc_solutions"):
+        monkeypatch.setattr(cli, name, traced)
+    assert main(["--out", str(tmp_path / "o"), *args]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "|arg omega| < eta" in err
