@@ -23,6 +23,7 @@ from .algebra import (
     ramified_sqrt,
 )
 from .system import (
+    BadDescriptor,
     GaugeTransform,
     NotAnUnfoldingBase,
     ParametricSystem,

@@ -173,12 +173,7 @@ class CSeries:
         truncated series the discarded tail contaminates all coefficients
         by O(sum of tail at the new center).
         """
-        n = self.order
-        acc = CSeries.constant(self.coeffs[n - 1], n)
-        lin = CSeries([shift, scale], n)
-        for l in range(n - 2, -1, -1):
-            acc = acc * lin + self.coeffs[l]
-        return acc
+        return CSeries(pascal_shift(self.coeffs, shift, scale))
 
     # -- calculus ----------------------------------------------------------
 
@@ -230,105 +225,153 @@ class CSeries:
 # 2x2 matrices of series
 
 
-class CSeriesMat2:
-    """2x2 matrix with CSeries entries sharing a common truncation order."""
+def binomials(n: int) -> np.ndarray:
+    """C(j, k) at [k, j] for j, k < n (zero for k > j)."""
+    return np.array([[math.comb(j, k) for j in range(n)] for k in range(n)], dtype=float)
 
-    __slots__ = ("a11", "a12", "a21", "a22")
+
+def trim(coeffs: np.ndarray) -> np.ndarray:
+    """The leading part of ``coeffs`` up to its last nonzero entry along
+    axis 0 (at least one entry)."""
+    nonzero = np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
+    return coeffs[:nonzero[-1] + 1 if nonzero.size else 1]
+
+
+def pascal_shift(coeffs: np.ndarray, shift: complex, scale: complex = 1.0,
+                 binom: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients of f(shift + scale*x) from those of f along axis 0.
+
+    The x^k coefficient is scale^k sum_j C(j, k) shift^(j-k) c_j, one
+    matrix product with the Pascal matrix of the polynomial part (the
+    zeros past the last nonzero coefficient stay zero, and the binomials
+    stay finite doubles while that part has degree < 1000); ``binom`` is
+    ``binomials(n)``, n >= its length, when the caller keeps it.
+    """
+    c = trim(coeffs)
+    n = len(c)
+    k = np.arange(n)
+    binom = binomials(n) if binom is None else binom[:n, :n]
+    pascal = binom * (complex(shift) ** k)[np.clip(k - k[:, None], 0, None)]
+    pascal *= (complex(scale) ** k)[:, None]
+    out = np.zeros(coeffs.shape, dtype=complex)
+    out[:n] = (pascal @ c.reshape(n, -1)).reshape(c.shape)
+    return out
+
+
+class CSeriesMat2:
+    """2x2 matrix of series sharing one truncation order K.
+
+    ``coeffs`` has shape (K, 2, 2): ``coeffs[l]`` is the matrix coefficient
+    of ``z^l``.  Binary operations truncate both operands to the smaller
+    order.
+    """
+
+    __slots__ = ("coeffs",)
 
     def __init__(self, a11: CSeries, a12: CSeries, a21: CSeries, a22: CSeries):
         order = min(a11.order, a12.order, a21.order, a22.order)
-        self.a11 = a11.trunc(order)
-        self.a12 = a12.trunc(order)
-        self.a21 = a21.trunc(order)
-        self.a22 = a22.trunc(order)
+        c = np.array([e.coeffs[:order] for e in (a11, a12, a21, a22)])
+        self.coeffs = c.T.reshape(order, 2, 2)
+        self.coeffs.flags.writeable = False
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "CSeriesMat2":
+        """Wrap a copy of a (K, 2, 2) coefficient stack, K >= 1."""
+        c = np.array(coeffs, dtype=complex)
+        if c.ndim != 3 or c.shape[1:] != (2, 2) or len(c) < 1:
+            raise ValueError(f"need a (K, 2, 2) coefficient stack, got shape {c.shape}")
+        m = cls.__new__(cls)
+        m.coeffs = c
+        c.flags.writeable = False
+        return m
 
     @classmethod
     def from_rows(cls, rows, order: int) -> "CSeriesMat2":
         """rows: 2x2 nested structure of coefficient lists / CSeries / scalars."""
-        def mk(entry):
-            if isinstance(entry, CSeries):
-                return entry.trunc(order)
-            arr = np.atleast_1d(np.asarray(entry, dtype=complex))
-            return CSeries(arr, order)
-
         (r11, r12), (r21, r22) = rows
-        return cls(mk(r11), mk(r12), mk(r21), mk(r22))
+        return cls(*(CSeries(e.coeffs if isinstance(e, CSeries) else e, order)
+                     for e in (r11, r12, r21, r22)))
 
     @classmethod
     def identity(cls, order: int) -> "CSeriesMat2":
-        one, zero = CSeries.one(order), CSeries.zero(order)
-        return cls(one, zero, zero, one)
-
-    @classmethod
-    def from_constant(cls, m, order: int) -> "CSeriesMat2":
-        m = np.asarray(m, dtype=complex)
-        return cls.from_rows([[m[0, 0], m[0, 1]], [m[1, 0], m[1, 1]]], order)
+        c = np.zeros((order, 2, 2), dtype=complex)
+        c[0] = np.eye(2)
+        return cls.from_coeffs(c)
 
     @property
     def order(self) -> int:
-        return self.a11.order
-
-    def entries(self):
-        return ((self.a11, self.a12), (self.a21, self.a22))
+        return len(self.coeffs)
 
     def __add__(self, other: "CSeriesMat2") -> "CSeriesMat2":
-        return CSeriesMat2(self.a11 + other.a11, self.a12 + other.a12,
-                           self.a21 + other.a21, self.a22 + other.a22)
+        n = min(self.order, other.order)
+        return CSeriesMat2.from_coeffs(self.coeffs[:n] + other.coeffs[:n])
 
-    def __sub__(self, other: "CSeriesMat2") -> "CSeriesMat2":
-        return CSeriesMat2(self.a11 - other.a11, self.a12 - other.a12,
-                           self.a21 - other.a21, self.a22 - other.a22)
+    def __sub__(self, other) -> "CSeriesMat2":
+        """Difference with a series matrix, or with ``other * I`` for a CSeries."""
+        n = min(self.order, other.order)
+        if isinstance(other, CSeries):
+            c = self.coeffs[:n].copy()
+            c[:, 0, 0] -= other.coeffs[:n]
+            c[:, 1, 1] -= other.coeffs[:n]
+            return CSeriesMat2.from_coeffs(c)
+        return CSeriesMat2.from_coeffs(self.coeffs[:n] - other.coeffs[:n])
 
     def __neg__(self) -> "CSeriesMat2":
-        return CSeriesMat2(-self.a11, -self.a12, -self.a21, -self.a22)
+        return CSeriesMat2.from_coeffs(-self.coeffs)
 
     def __matmul__(self, other: "CSeriesMat2") -> "CSeriesMat2":
-        return CSeriesMat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
+        n = min(self.order, other.order)
+        a, b = self.coeffs[:n], other.coeffs[:n]
+        c = np.empty((n, 2, 2), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                c[:, i, j] = (np.convolve(a[:, i, 0], b[:, 0, j])[:n]
+                              + np.convolve(a[:, i, 1], b[:, 1, j])[:n])
+        return CSeriesMat2.from_coeffs(c)
 
     def scale(self, f) -> "CSeriesMat2":
         """Multiply every entry by a scalar or a CSeries."""
-        return CSeriesMat2(self.a11 * f, self.a12 * f, self.a21 * f, self.a22 * f)
+        if not isinstance(f, CSeries):
+            return CSeriesMat2.from_coeffs(self.coeffs * complex(f))
+        n = min(self.order, f.order)
+        c = np.empty((n, 2, 2), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                c[:, i, j] = np.convolve(self.coeffs[:n, i, j], f.coeffs[:n])[:n]
+        return CSeriesMat2.from_coeffs(c)
 
     def det(self) -> CSeries:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        c, n = self.coeffs, self.order
+        return CSeries(np.convolve(c[:, 0, 0], c[:, 1, 1])[:n]
+                       - np.convolve(c[:, 0, 1], c[:, 1, 0])[:n])
 
     def trace(self) -> CSeries:
-        return self.a11 + self.a22
+        return CSeries(self.coeffs[:, 0, 0] + self.coeffs[:, 1, 1])
 
     def inverse(self) -> "CSeriesMat2":
-        rdet = self.det().reciprocal()
-        return CSeriesMat2(self.a22 * rdet, -self.a12 * rdet,
-                           -self.a21 * rdet, self.a11 * rdet)
+        c = self.coeffs
+        adj = np.stack([c[:, 1, 1], -c[:, 0, 1], -c[:, 1, 0], c[:, 0, 0]], axis=1)
+        return CSeriesMat2.from_coeffs(adj.reshape(-1, 2, 2)).scale(self.det().reciprocal())
 
     def deriv(self) -> "CSeriesMat2":
-        return CSeriesMat2(self.a11.deriv(), self.a12.deriv(),
-                           self.a21.deriv(), self.a22.deriv())
+        c = np.zeros_like(self.coeffs)
+        c[:-1] = self.coeffs[1:] * np.arange(1, self.order)[:, None, None]
+        return CSeriesMat2.from_coeffs(c)
 
     def eval(self, z) -> np.ndarray:
-        return np.array([[self.a11.eval(z), self.a12.eval(z)],
-                         [self.a21.eval(z), self.a22.eval(z)]])
-
-    def constant_term(self) -> np.ndarray:
-        return np.array([[self.a11.coeffs[0], self.a12.coeffs[0]],
-                         [self.a21.coeffs[0], self.a22.coeffs[0]]])
-
-    def coeff(self, l: int) -> np.ndarray:
-        return np.array([[self.a11.coeffs[l], self.a12.coeffs[l]],
-                         [self.a21.coeffs[l], self.a22.coeffs[l]]])
+        """Horner evaluation at a point or ndarray of points; shape (..., 2, 2)."""
+        z = np.asarray(z)[..., None, None]
+        acc = self.coeffs[-1] * np.ones_like(z)
+        for c in self.coeffs[-2::-1]:
+            acc = acc * z + c
+        return acc
 
     def max_abs(self) -> float:
-        return max(e.max_abs() for row in self.entries() for e in row)
+        return float(np.max(np.abs(self.coeffs)))
 
     def affine_substitute(self, shift: complex, scale: complex) -> "CSeriesMat2":
-        return CSeriesMat2(self.a11.affine_substitute(shift, scale),
-                           self.a12.affine_substitute(shift, scale),
-                           self.a21.affine_substitute(shift, scale),
-                           self.a22.affine_substitute(shift, scale))
+        """Entrywise re-expansion f(shift + scale*x), as CSeries.affine_substitute."""
+        return CSeriesMat2.from_coeffs(pascal_shift(self.coeffs, shift, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Every run writes a manifest echo next to its outputs so results are
 reproducible from the recorded arguments alone.
 
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
-error (including an invalid system descriptor or a rotation omega outside
-the sector |arg omega| < eta), 3 NonGeneric, 4 Indeterminate.
+error (including an invalid system descriptor, a numeric option out of
+range, a rotation omega outside the sector |arg omega| < eta, a contour
+too close to a zero of h, and a failed Picard solve), 3 NonGeneric,
+4 Indeterminate.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .geometry import (
     write_trajectories_csv,
 )
 from .invariants import FormalInvariants, NonGeneric, extract_formal, reduce
-from .monodromy import gamma_numeric
+from .monodromy import SingularityTooClose, gamma_numeric
 from .normal_forms import (
     DegenerateDenominator,
     build_b_form,
@@ -55,7 +57,7 @@ from .normalization import (
     kappa_formulas,
     p_equation_residual,
 )
-from .system import ParametricSystem
+from .system import BadDescriptor, ParametricSystem
 from .algebra import CSeries
 
 SCHEMA_VERSION = 1
@@ -65,6 +67,27 @@ EXIT_NOT_EQUIVALENT = 1
 EXIT_PARSE = 2
 EXIT_NON_GENERIC = 3
 EXIT_INDETERMINATE = 4
+
+# the package's named errors a command reports with a one-line message;
+# any other exception is a bug and propagates
+EXIT_CODES = {
+    NonGeneric: EXIT_NON_GENERIC,
+    BadDescriptor: EXIT_PARSE,
+    SingularityTooClose: EXIT_PARSE,
+    NoOverlap: EXIT_PARSE,
+    ContractionViolated: EXIT_PARSE,
+    DegenerateDenominator: EXIT_PARSE,
+}
+
+# (option, attribute, test) for the numeric options, checked before any work
+OPTION_CHECKS = (
+    ("--tol", "tol", "must be positive", lambda v: v > 0),
+    ("--gamma-tol", "gamma_tol", "must lie in [1e-13, 1e-6]", lambda v: 1e-13 <= v <= 1e-6),
+    ("--order", "order", "must be >= 2", lambda v: v >= 2),
+    ("--grid", "grid", "must be >= 2", lambda v: v >= 2),
+    ("--samples", "samples", "must be >= 1", lambda v: v >= 1),
+    ("--trace-step", "trace_step", "must be positive", lambda v: v > 0),
+)
 
 
 def _round_sig(x: float, digits: int = 12) -> float:
@@ -159,17 +182,9 @@ def _ensure_outdir(args) -> str:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        system = ParametricSystem.load(args.system)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    system = ParametricSystem.load(args.system)
     F = extract_formal(system)
-    try:
-        params, _ = reduce(system, F)
-    except NonGeneric as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_GENERIC
+    params, _ = reduce(system, F)
     res = gamma_numeric(system, F, tol=args.gamma_tol,
                         validity_radius=args.validity_radius)
     payload = {
@@ -190,19 +205,11 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        sys_a = ParametricSystem.load(args.system_a)
-        sys_b = ParametricSystem.load(args.system_b)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        verdict, report = decide_equivalence(sys_a, sys_b, tol=args.tol,
-                                             gamma_tol=args.gamma_tol,
-                                             validity_radius=args.validity_radius)
-    except NonGeneric as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_GENERIC
+    sys_a = ParametricSystem.load(args.system_a)
+    sys_b = ParametricSystem.load(args.system_b)
+    verdict, report = decide_equivalence(sys_a, sys_b, tol=args.tol,
+                                         gamma_tol=args.gamma_tol,
+                                         validity_radius=args.validity_radius)
     out = _ensure_outdir(args)
     payload = {"verdict": verdict, **report}
     _write_json(payload, os.path.join(out, "equiv.json"))
@@ -218,28 +225,27 @@ def cmd_normalform(args) -> int:
             data = json.load(fh)
         F = FormalInvariants(*(_json_complex(data[key][i])
                                for key in ("h", "lambda", "alpha") for i in (0, 1)))
+        gamma = None
+        if args.variant == "q" and args.param is None:
+            gamma = _json_complex(data["gamma"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: bad invariants file: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        if args.variant == "q":
-            if args.param is not None:
-                q = args.param
-            else:
-                Q = q_from_gamma(_json_complex(data["gamma"]), sign=-1)
-                q = Q * (Q + 1.0)
-            system = build_q_form(F, q, order=args.order)
-            param_out = {"q": q}
+    if args.variant == "q":
+        if gamma is None:
+            q = args.param
         else:
-            if args.param is None:
-                print("error: b-form needs --param", file=sys.stderr)
-                return EXIT_PARSE
-            b = args.param
-            system = build_b_form(F, b, order=args.order)
-            param_out = {"b": b}
-    except (KeyError, TypeError, ValueError, DegenerateDenominator) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            Q = q_from_gamma(gamma, sign=-1)
+            q = Q * (Q + 1.0)
+        system = build_q_form(F, q, order=args.order)
+        param_out = {"q": q}
+    else:
+        if args.param is None:
+            print("error: b-form needs --param", file=sys.stderr)
+            return EXIT_PARSE
+        b = args.param
+        system = build_b_form(F, b, order=args.order)
+        param_out = {"b": b}
     out = _ensure_outdir(args)
     path = os.path.join(out, "normalform.json")
     descriptor = system.to_descriptor()
@@ -358,13 +364,9 @@ def cmd_normcheck(args) -> int:
         print("error: contraction inequality violated for this r", file=sys.stderr)
         return EXIT_PARSE
     rp = RamifiedPoint.from_values(mu, eps)
-    try:
-        sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=args.seed_dir,
-                                           tol=args.tol)
-        asm = assemble_F(sol_i, sol_j, rp, r=r, interior=0.1)
-    except (NoOverlap, ContractionViolated, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=args.seed_dir,
+                                       tol=args.tol)
+    asm = assemble_F(sol_i, sol_j, rp, r=r, interior=0.1)
     ratios = sol_i.contraction_ratios
     payload = {
         "mu": mu, "eps": eps, "omega": omega, "sup_sr": sup_sr,
@@ -465,10 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
-    if getattr(args, "tol", None) is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_PARSE
-    return args.func(args)
+    for option, attr, rule, ok in OPTION_CHECKS:
+        value = getattr(args, attr, None)
+        if value is not None and not ok(value):
+            print(f"error: {option} {rule}, got {value}", file=sys.stderr)
+            return EXIT_PARSE
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

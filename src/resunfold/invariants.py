@@ -5,7 +5,7 @@ form algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,15 +46,13 @@ class FormalInvariants:
         """alpha0/alpha1^2 - h1/(2 alpha1), the reduced linear parameter."""
         return self.alpha0 / self.alpha1**2 - self.h1 / (2.0 * self.alpha1)
 
+    def gaps(self, other: "FormalInvariants") -> dict:
+        """|self - other| per coefficient, keyed h0, h1, lambda0, lambda1, alpha0, alpha1."""
+        return {f.name: abs(getattr(self, f.name) - getattr(other, f.name))
+                for f in fields(self)}
+
     def close_to(self, other: "FormalInvariants", tol: float) -> bool:
-        return all(
-            abs(a - b) < tol
-            for a, b in (
-                (self.h0, other.h0), (self.h1, other.h1),
-                (self.lambda0, other.lambda0), (self.lambda1, other.lambda1),
-                (self.alpha0, other.alpha0), (self.alpha1, other.alpha1),
-            )
-        )
+        return all(gap < tol for gap in self.gaps(other).values())
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,7 @@ def extract_formal(system: ParametricSystem) -> FormalInvariants:
     """
     tr_half = system.A.trace() * 0.5
     _, (l0, l1) = tr_half.divmod_quadratic(system.h0, system.h1)
-    lam = CSeries([l0, l1], system.order)
-    shifted = CSeriesMat2(system.A.a11 - lam, system.A.a12,
-                          system.A.a21, system.A.a22 - lam)
-    neg_det = -shifted.det()
+    neg_det = -(system.A - CSeries([l0, l1], system.order)).det()
     _, (a0, a1) = neg_det.divmod_quadratic(system.h0, system.h1)
     return FormalInvariants(system.h0, system.h1, l0, l1, a0, a1)
 
@@ -116,10 +111,7 @@ def reduce(system: ParametricSystem, F: FormalInvariants | None = None,
         raise NonGeneric(f"|alpha1| = {abs(F.alpha1):.3e} below tolerance")
     eps = F.epsilon
     mu = F.mu
-    n = system.order
-    lam = CSeries([F.lambda0, F.lambda1], n)
-    shifted = CSeriesMat2(system.A.a11 - lam, system.A.a12,
-                          system.A.a21, system.A.a22 - lam)
+    shifted = system.A - CSeries([F.lambda0, F.lambda1], system.order)
     # z = alpha1 * x - h1/2
     a_red = shifted.affine_substitute(-F.h1 / 2.0, F.alpha1).scale(1.0 / F.alpha1)
     reduced = ParametricSystem(-eps, 0.0, a_red)
@@ -143,13 +135,14 @@ def _cyclic_steps(system: ParametricSystem):
     Step 1 conjugates A by the constant C with C^{-1} = [[w], [w A0]] for
     the best-conditioned cyclic covector w; step 2 solves the triangular
     recursion for the lower-row corrections t^(l) = (t21[l], t22[l]).
-    Returns the coefficients a^(l) of the conjugated A and t21, t22
-    (length K + 1, zero at l = 0 and l = K).
+    Returns the (K, 2, 2) coefficients a of the conjugated A and the
+    (K + 1, 2, 2) stack T of the matrices [[0, 0], t^(l)], zero at l = 0
+    and l = K.
     """
     n = system.order
 
     # step 1: cyclic covector w, C^{-1} = [[w], [w A0]]
-    a0 = system.A.constant_term()
+    a0 = system.A.coeffs[0]
     lam0 = (a0[0, 0] + a0[1, 1]) / 2.0
     if float(np.max(np.abs(a0 - lam0 * np.eye(2)))) <= 1e-12 * max(1.0, abs(lam0)):
         raise Step1Failure("constant term of A is scalar")
@@ -166,23 +159,14 @@ def _cyclic_steps(system: ParametricSystem):
     if best_quality < 1e-8:
         raise Step1Failure("no well-conditioned cyclic covector")
     cinv = best
-    c = np.linalg.inv(cinv)
-    a = CSeriesMat2.from_constant(cinv, n) @ system.A @ CSeriesMat2.from_constant(c, n)
+    a = cinv @ system.A.coeffs @ np.linalg.inv(cinv)
 
-    # step 2: triangular recursion for the lower-row corrections
-    a_coeffs = [a.coeff(l) for l in range(n)]
-    t21 = np.zeros(n + 1, dtype=complex)
-    t22 = np.zeros(n + 1, dtype=complex)
+    # step 2: triangular recursion for the lower-row corrections,
+    # t^(l) = -(a^(l)_top + sum_{0<j<l} a^(j)_12 t^(l-j))
+    T = np.zeros((n + 1, 2, 2), dtype=complex)
     for l in range(1, n):
-        acc1 = a_coeffs[l][0, 0]
-        acc2 = a_coeffs[l][0, 1]
-        for j in range(1, l):
-            a12 = a_coeffs[j][0, 1]
-            acc1 += a12 * t21[l - j]
-            acc2 += a12 * t22[l - j]
-        t21[l] = -acc1
-        t22[l] = -acc2
-    return a_coeffs, t21, t22
+        T[l, 1] = -(a[l, 0] + a[1:l, 0, 1] @ T[l - 1:0:-1, 1])
+    return a, T
 
 
 def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
@@ -211,32 +195,24 @@ def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
     mu = F.alpha0
     n = system.order
 
-    a_coeffs, t21, t22 = _cyclic_steps(system)
-    # T^(l) = 0 for l >= K: the eps (l+1) T^(l+1) term is dropped at the
-    # top order, leaving an O(x^(K-1)) defect in B.  The -eps T' part of
-    # the gauge formula also contributes eps T^(1) at order zero, which
-    # lands in the lower row only.
-    def tmat(l):
-        return np.array([[0.0, 0.0], [t21[l], t22[l]]])
-
-    b_coeffs = [np.zeros((2, 2), dtype=complex) for _ in range(n)]
-    a0c = a_coeffs[0]
-    b_coeffs[0] = a0c + eps * tmat(1)
+    a, T = _cyclic_steps(system)
+    # B = T^{-1} A T - h T^{-1} T' with T = I + sum T^(l) x^l, order by
+    # order: b^(l) = a^(l) + sum_{j<l} (a^(j) T^(l-j) - T^(l-j) b^(j))
+    # - (l-1) T^(l-1) + eps (l+1) T^(l+1).  T^(K) = 0 drops the eps term at
+    # the top order, leaving an O(x^(K-1)) defect in B; at order zero only
+    # eps T^(1) survives, and it lands in the lower row.
+    b = np.zeros((n, 2, 2), dtype=complex)
+    b[0] = a[0] + eps * T[1]
     for l in range(1, n):
-        tl = tmat(l)
-        b = a0c @ tl - tl @ b_coeffs[0] + a_coeffs[l]
-        for j in range(1, l):
-            b += a_coeffs[j] @ tmat(l - j) - tmat(l - j) @ b_coeffs[j]
-        b -= (l - 1) * tmat(l - 1) if l >= 2 else np.zeros((2, 2))
-        if l + 1 < n:
-            b += eps * (l + 1) * tmat(l + 1)
-        b_coeffs[l] = b
-        top = max(abs(b[0, 0]), abs(b[0, 1]))
+        Tl = T[l:0:-1]                       # T^(l-j) for j = 0 .. l-1
+        b[l] = (a[l] + (a[:l] @ Tl - Tl @ b[:l]).sum(axis=0)
+                - (l - 1) * T[l - 1] + eps * (l + 1) * T[l + 1])
+        top = float(np.abs(b[l, 0]).max())
         if top > 1e-6 * max(1.0, scale):
             raise InvariantMismatch(f"step 2 left a top-row residue {top:.3e}")
 
-    b21 = CSeries([b_coeffs[l][1, 0] for l in range(n)])
-    b22 = CSeries([b_coeffs[l][1, 1] for l in range(n)])
+    b21 = CSeries(b[:, 1, 0])
+    b22 = CSeries(b[:, 1, 1])
 
     # step 3 shear + step 4 scalar: c(x) = b21 + (b22/2)^2 - (x^2-eps)(b22/2)'
     beta = b22 * 0.5
@@ -258,12 +234,11 @@ def step2_growth_data(system: ParametricSystem):
     the lower-row recursion; the bound follows by induction for any
     constant conjugation.
     """
-    a_coeffs, t21, t22 = _cyclic_steps(system)
+    a, T = _cyclic_steps(system)
     n = system.order
     ka = 0.0
     for l in range(1, n):
-        m = float(np.max(np.abs(a_coeffs[l])))
+        m = float(np.max(np.abs(a[l])))
         if m > 0:
             ka = max(ka, m ** (1.0 / l))
-    tnorm = [0.0] + [max(abs(t21[l]), abs(t22[l])) for l in range(1, n)]
-    return ka, tnorm
+    return ka, np.abs(T[:n, 1]).max(axis=1).tolist()

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import binomials, pascal_shift, trim
 from .invariants import FormalInvariants, extract_formal
 from .system import ParametricSystem
 
@@ -134,32 +135,6 @@ def _norm(m):
     return np.abs(m).sum(axis=-1).max(axis=-1)
 
 
-def _coefficient_stack(A) -> np.ndarray:
-    """A as a (d+1, 2, 2) stack of z^k coefficients, trailing zeros trimmed."""
-    stack = np.array([[A.a11.coeffs, A.a12.coeffs],
-                      [A.a21.coeffs, A.a22.coeffs]]).transpose(2, 0, 1)
-    nonzero = np.flatnonzero(np.any(stack != 0, axis=(1, 2)))
-    d = int(nonzero[-1]) if nonzero.size else 0
-    return np.ascontiguousarray(stack[:d + 1])
-
-
-class _Recentre:
-    """Pascal shift of a coefficient stack: the coefficients of A(c + s)."""
-
-    def __init__(self, stack: np.ndarray):
-        d = len(stack) - 1
-        k = np.arange(d + 1)
-        self.flat = stack.reshape(d + 1, 4)
-        self.degrees = k
-        self.shift = np.clip(k[None, :] - k[:, None], 0, None)        # j - k
-        self.binom = np.array([[math.comb(j, i) for j in range(d + 1)]
-                               for i in range(d + 1)], dtype=float)  # C(j, k)
-
-    def __call__(self, c: complex) -> np.ndarray:
-        pascal = self.binom * (complex(c) ** self.degrees)[self.shift]
-        return (pascal @ self.flat).reshape(-1, 2, 2)
-
-
 def _log_growth(beta: np.ndarray, r: float, ra: float, rb: float) -> float:
     """Upper Riemann sum of int_0^r |A(c+s)| / |h(c+s)| d|s| on a segment
     from c: ``beta`` holds the norms of the coefficients of A(c+s) and the
@@ -270,7 +245,9 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
         raise SingularityTooClose(
             f"contour clearance {clearance:.3e} below the safe distance for tol={tol}")
 
-    recentre = _Recentre(_coefficient_stack(system.A))
+    # A(c + s) at each step from a Pascal shift of A's polynomial part
+    stack = trim(system.A.coeffs)
+    binom = binomials(len(stack))
     Ts, bounds, Bs, ends, dist = [], [], [], [], []
     for z, L in contour.segments():
         t = 0.0
@@ -279,7 +256,7 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
             ra, rb = sorted(abs(c - root) for root in roots)
             if ra <= 1e-12 * spread:
                 raise SingularityTooClose(f"contour passes through a zero of h at {c}")
-            B = recentre(c)
+            B = pascal_shift(stack, c, binom=binom)
             dt = 0.5 * ra
             while _log_growth(_norm(B), dt, ra, rb) > _MAX_LOG_GROWTH:
                 dt *= 0.5
@@ -298,8 +275,8 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
     # recentred polynomial the step used, a data defect acting over the step
     c, z1 = np.array(ends).T
     delta = z1 - c
-    recentred = np.einsum("nk,nkij->nij", delta[:, None] ** recentre.degrees, np.array(Bs))
-    gap = _norm(system.A.eval(z1).transpose(2, 0, 1) - recentred)
+    recentred = np.einsum("nk,nkij->nij", delta[:, None] ** np.arange(len(stack)), np.array(Bs))
+    gap = _norm(system.A.eval(z1) - recentred)
     ra, rb = np.array(dist).T
     r = np.abs(delta)
     Ts = np.array(Ts)

@@ -90,14 +90,7 @@ def decide_equivalence(system_a: ParametricSystem, system_b: ParametricSystem,
     for F in (Fa, Fb):
         if abs(F.alpha1) <= 1e-8:
             raise NonGeneric("system fails the genericity condition alpha1 != 0")
-    formal_gaps = {
-        "h0": abs(Fa.h0 - Fb.h0),
-        "h1": abs(Fa.h1 - Fb.h1),
-        "lambda0": abs(Fa.lambda0 - Fb.lambda0),
-        "lambda1": abs(Fa.lambda1 - Fb.lambda1),
-        "alpha0": abs(Fa.alpha0 - Fb.alpha0),
-        "alpha1": abs(Fa.alpha1 - Fb.alpha1),
-    }
+    formal_gaps = Fa.gaps(Fb)
     report = {"formal_gaps": formal_gaps}
     if max(formal_gaps.values()) >= tol:
         report["reason"] = "formal invariants differ"

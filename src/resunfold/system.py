@@ -20,6 +20,10 @@ class SingularGauge(ValueError):
     """Gauge matrix with non-invertible constant term."""
 
 
+class BadDescriptor(ValueError):
+    """A system descriptor that cannot be read or fails validation."""
+
+
 class NotAnUnfoldingBase(ValueError):
     """System at parameter 0 is not a resonant Jordan-type unfolding base."""
 
@@ -49,20 +53,18 @@ class ParametricSystem:
     # -- JSON descriptor ----------------------------------------------------
 
     def to_descriptor(self) -> dict:
-        def ser(s: CSeries):
-            return [[c.real, c.imag] for c in s.coeffs]
-
+        c = self.A.coeffs
         return {
             "schema_version": 1,
             "order": self.order,
             "h": [self.h0.real, self.h0.imag, self.h1.real, self.h1.imag],
-            "A": [[ser(self.A.a11), ser(self.A.a12)],
-                  [ser(self.A.a21), ser(self.A.a22)]],
+            "A": np.stack([c.real, c.imag], axis=-1).transpose(1, 2, 0, 3).tolist(),
         }
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "ParametricSystem":
-        """Parse a descriptor; ValueError unless ``order >= 2`` and every
+        """Parse a descriptor; BadDescriptor unless ``order >= 2``, the four
+        entries of A are coefficient lists of one length, and every
         coefficient of h and A is finite."""
         try:
             order = int(d["order"])
@@ -71,24 +73,27 @@ class ParametricSystem:
             h = d["h"]
             h0 = complex(h[0], h[1])
             h1 = complex(h[2], h[3])
-            rows = d["A"]
-
-            def des(entry):
-                return CSeries([complex(re, im) for re, im in entry], order)
-
-            A = CSeriesMat2(des(rows[0][0]), des(rows[0][1]),
-                            des(rows[1][0]), des(rows[1][1]))
-            coeffs = [h0, h1, *(c for row in A.entries() for e in row for c in e.coeffs)]
-            if not all(cmath.isfinite(c) for c in coeffs):
+            a = np.array(d["A"], dtype=float)
+            if a.ndim != 4 or a.shape[:2] != (2, 2) or a.shape[3] != 2:
+                raise ValueError(f"A must have shape (2, 2, n, 2), got {a.shape}")
+            coeffs = np.zeros((order, 2, 2), dtype=complex)
+            n = min(order, a.shape[2])
+            coeffs[:n] = (a[..., 0] + 1j * a[..., 1]).transpose(2, 0, 1)[:n]
+            if not (cmath.isfinite(h0) and cmath.isfinite(h1) and np.isfinite(coeffs).all()):
                 raise ValueError("h and A must have finite coefficients")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad system descriptor: {exc}") from exc
-        return cls(h0, h1, A)
+            raise BadDescriptor(f"bad system descriptor: {exc}") from exc
+        return cls(h0, h1, CSeriesMat2.from_coeffs(coeffs))
 
     @classmethod
     def load(cls, path) -> "ParametricSystem":
-        with open(path) as fh:
-            return cls.from_descriptor(json.load(fh))
+        """Read a descriptor file; BadDescriptor when it cannot be read or parsed."""
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise BadDescriptor(f"bad system descriptor: {exc}") from exc
+        return cls.from_descriptor(d)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -103,7 +108,7 @@ class GaugeTransform:
 
     def __post_init__(self):
         d = self.T.det().coeffs[0]
-        t0 = self.T.constant_term()
+        t0 = self.T.coeffs[0]
         if abs(d) <= 1e-12 * max(1.0, float(np.max(np.abs(t0))) ** 2):
             raise SingularGauge("det T(0) == 0")
 
@@ -115,12 +120,6 @@ class GaugeTransform:
     def identity(cls, order: int) -> "GaugeTransform":
         return cls(CSeriesMat2.identity(order))
 
-    def compose(self, other: "GaugeTransform") -> "GaugeTransform":
-        return GaugeTransform(self.T @ other.T)
-
-    def inverse(self) -> "GaugeTransform":
-        return GaugeTransform(self.T.inverse())
-
 
 def gauge_apply(T: GaugeTransform, system: ParametricSystem) -> ParametricSystem:
     """Transformed system with A' = T^{-1} A T - h T^{-1} T'.
@@ -129,11 +128,10 @@ def gauge_apply(T: GaugeTransform, system: ParametricSystem) -> ParametricSystem
     gauge_apply(T2, gauge_apply(T1, s)) == gauge_apply(T1 @ T2, s) mod z^K.
     """
     order = min(T.T.order, system.order)
-    t = CSeriesMat2(*(e.trunc(order) for row in T.T.entries() for e in row))
+    t = CSeriesMat2.from_coeffs(T.T.coeffs[:order])
     tinv = t.inverse()
     h = system.h_series(order)
-    a = CSeriesMat2(*(e.trunc(order) for row in system.A.entries() for e in row))
-    a_new = (tinv @ a @ t) - (tinv @ t.deriv()).scale(h)
+    a_new = (tinv @ system.A @ t) - (tinv @ t.deriv()).scale(h)
     return ParametricSystem(system.h0, system.h1, a_new)
 
 
@@ -146,7 +144,7 @@ def genericity_check(system: ParametricSystem, tol: float = 1e-8):
     """
     if abs(system.h0) > 1e-10 or abs(system.h1) > 1e-10:
         raise NotAnUnfoldingBase("h must equal z^2 at the base parameter")
-    a0 = system.A.constant_term()
+    a0 = system.A.coeffs[0]
     lam0 = (a0[0, 0] + a0[1, 1]) / 2.0
     scale = max(1.0, float(np.max(np.abs(a0))))
     disc = (a0[0, 0] - a0[1, 1]) ** 2 + 4.0 * a0[0, 1] * a0[1, 0]
@@ -154,9 +152,6 @@ def genericity_check(system: ParametricSystem, tol: float = 1e-8):
         raise NotAnUnfoldingBase("A(0) must have a double eigenvalue")
     if float(np.max(np.abs(a0 - lam0 * np.eye(2)))) <= 1e-12 * scale:
         raise NotAnUnfoldingBase("A(0) must not be scalar")
-    lam_series = CSeries.constant(lam0, system.order)
-    shifted = CSeriesMat2(system.A.a11 - lam_series, system.A.a12,
-                          system.A.a21, system.A.a22 - lam_series)
-    d = shifted.det()
+    d = (system.A - CSeries.constant(lam0, system.order)).det()
     slope = -d.coeffs[1] if d.order > 1 else 0.0
     return bool(abs(slope) > tol), slope

@@ -7,6 +7,7 @@ import pytest
 from resunfold.algebra import (
     BranchedLog,
     CSeries,
+    CSeriesMat2,
     DivisionByNonUnit,
     PoleAtNonPositiveInteger,
     ZeroModulus,
@@ -88,6 +89,79 @@ def test_divmod_quadratic():
     zs = np.array([0.3, -0.2 + 0.1j])
     recon = q.eval(zs) * (zs * zs - 0.5 * zs + 0.25) + r0 + r1 * zs
     assert np.allclose(recon, zs ** 3)
+
+
+# ---------------------------------------------------------------------------
+# series matrices against entry-by-entry CSeries arithmetic
+
+
+def entries(m):
+    return [[CSeries(m.coeffs[:, i, j]) for j in range(2)] for i in range(2)]
+
+
+def stack(rows):
+    return np.array([[e.coeffs for e in row] for row in rows]).transpose(2, 0, 1)
+
+
+def horner_substitute(s, shift, scale):
+    """f(shift + scale*x) by Horner's rule in series arithmetic."""
+    n = s.order
+    acc = CSeries.constant(s.coeffs[n - 1], n)
+    lin = CSeries([shift, scale], n)
+    for l in range(n - 2, -1, -1):
+        acc = acc * lin + s.coeffs[l]
+    return acc
+
+
+def close(got, want, rel=1e-13):
+    return np.max(np.abs(got - want)) <= rel * max(1.0, np.max(np.abs(want)))
+
+
+def random_mats(rng):
+    """Pairs of random K=24 matrices and of K=8 ones whose top 4 coefficients
+    are zero; constant terms near the identity so inverses exist."""
+    for K, nonzero in ((24, 24), (8, 4)):
+        for _ in range(5):
+            c = np.zeros((2, K, 2, 2), dtype=complex)
+            c[:, :nonzero] = (rng.standard_normal((2, nonzero, 2, 2))
+                              + 1j * rng.standard_normal((2, nonzero, 2, 2)))
+            c[:, 0] += 3.0 * np.eye(2)
+            yield CSeriesMat2.from_coeffs(c[0]), CSeriesMat2.from_coeffs(c[1])
+
+
+def test_series_matrix_kernels_match_entrywise(rng):
+    for a, b in random_mats(rng):
+        A, B = entries(a), entries(b)
+        prod = [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)] for i in range(2)]
+        assert np.array_equal((a @ b).coeffs, stack(prod))
+        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        assert close(a.det().coeffs, det.coeffs)
+        assert close(a.trace().coeffs, (A[0][0] + A[1][1]).coeffs)
+        r = det.reciprocal()
+        inv = [[A[1][1] * r, -A[0][1] * r], [-A[1][0] * r, A[0][0] * r]]
+        assert close(a.inverse().coeffs, stack(inv))
+        assert close(a.deriv().coeffs, stack([[e.deriv() for e in row] for row in A]))
+        zs = np.array([0.3, -0.2 + 0.4j, 0.7j])
+        want = np.array([[e.eval(zs) for e in row] for row in A]).transpose(2, 0, 1)
+        assert close(a.eval(zs), want)
+        assert close(a.eval(zs[1]), want[1])
+
+
+def test_affine_substitute_matches_horner(rng):
+    for a, _ in random_mats(rng):
+        shift = 0.5 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        scale = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
+        want = stack([[horner_substitute(e, shift, scale) for e in row] for row in entries(a)])
+        assert close(a.affine_substitute(shift, scale).coeffs, want)
+        s = CSeries(a.coeffs[:, 1, 0])
+        assert close(s.affine_substitute(shift, scale).coeffs,
+                     horner_substitute(s, shift, scale).coeffs)
+    # a low-degree polynomial at an order past the double range of the
+    # binomials of the full order
+    c, u, v = 3.0 - 1.0j, 0.3, 1.2 + 0.5j
+    want = np.zeros(1500, dtype=complex)
+    want[:3] = [1.0 + 2.0 * u + c * u * u, 2.0 * v + 2.0 * c * u * v, c * v * v]
+    assert close(CSeries([1.0, 2.0, c], 1500).affine_substitute(u, v).coeffs, want)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def test_outputs_deterministic(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("edit", ["nan_h0", "inf_A", "order_1"])
+@pytest.mark.parametrize("edit", ["nan_h0", "inf_A", "order_1", "ragged_A"])
 @pytest.mark.parametrize("command", ["invariants", "equiv"])
 def test_invalid_descriptor_exit_parse(edit, command, tmp_path, capsys):
     good = model_system(0.1, 0.01).to_descriptor()
@@ -236,6 +236,8 @@ def test_invalid_descriptor_exit_parse(edit, command, tmp_path, capsys):
         bad["h"][0] = float("nan")
     elif edit == "inf_A":
         bad["A"][1][0][1][0] = float("inf")
+    elif edit == "ragged_A":
+        bad["A"][0][1] = bad["A"][0][1][:3]
     else:
         bad["order"] = 1
     pg, pb = tmp_path / "good.json", tmp_path / "bad.json"
@@ -264,3 +266,58 @@ def test_rotation_outside_sector_exit_parse(args, tmp_path, monkeypatch, capsys)
     assert main(["--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "|arg omega| < eta" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["portrait", "--mu", "0.06", "--eps", "0.001", "--grid", "0"], "--grid must be >= 2"),
+    (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--trace-step", "0"],
+     "--trace-step must be positive"),
+    (["kappa", "--samples", "0"], "--samples must be >= 1"),
+    (["kappa", "--samples", "-3"], "--samples must be >= 1"),
+    (["--order", "1", "normalform", "inv.json"], "--order must be >= 2"),
+    (["--gamma-tol", "1e-3", "invariants", "m.json"], "--gamma-tol must lie in [1e-13, 1e-6]"),
+    (["--tol", "nan", "equiv", "a.json", "b.json"], "--tol must be positive"),
+])
+def test_numeric_options_checked_first(args, message, tmp_path, monkeypatch, capsys):
+    import resunfold.cli as cli
+
+    def work(*a, **k):
+        raise AssertionError("worked before the options were checked")
+    for name in ("classify_regions", "inner_arc_solutions", "batch_verify",
+                 "build_q_form", "ParametricSystem"):
+        monkeypatch.setattr(cli, name, work)
+    assert main(["--out", str(tmp_path / "o"), *args]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["invariants", "equiv"])
+def test_contour_too_close_exit_parse(command, tmp_path, capsys):
+    """A validity radius too small for a contour around both zeros of h is
+    a config error, reported in one line."""
+    p = write_system(model_system(0.1, 0.01), tmp_path / "m.json")
+    files = [p] if command == "invariants" else [p, p]
+    assert main(["--out", str(tmp_path / "o"), command, *files,
+                 "--validity-radius", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "validity radius too small" in err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["model", "random"])
+def test_outputs_keep_golden_bytes(name, tmp_path):
+    """invariants -> normalform -> equiv on a model and a random K=24
+    descriptor reproduces files written by the CLI before series matrices
+    became (K, 2, 2) arrays, byte for byte; so does a descriptor round trip."""
+    d, out = GOLDEN / name, tmp_path / "o"
+    assert main(["--out", str(out), "invariants", str(d / "system.json")]) == 0
+    assert main(["--out", str(out), "normalform", str(d / "invariants.json")]) == 0
+    assert main(["--out", str(out), "equiv", str(d / "system.json"),
+                 str(d / "normalform.json")]) == 0
+    for f in ("invariants.json", "normalform.json", "equiv.json"):
+        assert (out / f).read_bytes() == (d / f).read_bytes(), f
+    ParametricSystem.load(d / "system.json").save(tmp_path / "system.json")
+    assert (tmp_path / "system.json").read_bytes() == (d / "system.json").read_bytes()

@@ -177,8 +177,9 @@ def test_gamma_mpmath_oracle():
     res = gamma_numeric(s, tol=1e-9)
     contour = auto_contour(s)
     # the trimmed polynomial A: random_system draws degree 4 into K = 24
-    coef = [[[mpmath.mpc(c) for c in e.coeffs[4::-1]] for e in row] for row in s.A.entries()]
-    assert all(not np.any(e.coeffs[5:]) for row in s.A.entries() for e in row)
+    coef = [[[mpmath.mpc(c) for c in s.A.coeffs[4::-1, i, j]] for j in range(2)]
+            for i in range(2)]
+    assert not np.any(s.A.coeffs[5:])
     c, R = mpmath.mpc(contour.center), mpmath.mpf(contour.radius)
     h0, h1 = mpmath.mpc(s.h0), mpmath.mpc(s.h1)
 

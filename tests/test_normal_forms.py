@@ -39,15 +39,15 @@ def random_invariants(rng, lam_scale=0.05):
 def test_q_form_zero_q_is_formal_model(rng):
     F = random_invariants(rng)
     s = build_q_form(F, 0.0)
-    assert abs(s.A.a21.coeffs[0] - F.alpha0) < 1e-15
-    assert abs(s.A.a21.coeffs[1] - F.alpha1) < 1e-15
-    assert s.A.a21.coeffs[2] == 0.0
+    assert abs(s.A.coeffs[0, 1, 0] - F.alpha0) < 1e-15
+    assert abs(s.A.coeffs[1, 1, 0] - F.alpha1) < 1e-15
+    assert s.A.coeffs[2, 1, 0] == 0.0
 
 
 def test_q_form_direct_substitution():
     F = FormalInvariants(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     s = build_q_form(F, 1.0)  # A21 = z + z^2
-    assert np.allclose(s.A.a21.coeffs[:3], [0.0, 1.0, 1.0])
+    assert np.allclose(s.A.coeffs[:3, 1, 0], [0.0, 1.0, 1.0])
 
 
 def test_q_form_reproduces_invariants(rng):
@@ -67,8 +67,8 @@ def test_q_form_gamma_matches(rng):
 def test_b_form_zero_b_is_formal_model(rng):
     F = random_invariants(rng)
     s = build_b_form(F, 0.0)
-    assert abs(s.A.a21.coeffs[0] - F.alpha0) < 1e-15
-    assert abs(s.A.a21.coeffs[1] - F.alpha1) < 1e-15
+    assert abs(s.A.coeffs[0, 1, 0] - F.alpha0) < 1e-15
+    assert abs(s.A.coeffs[1, 1, 0] - F.alpha1) < 1e-15
 
 
 def test_b_form_reproduces_invariants(rng):
