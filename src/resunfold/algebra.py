@@ -84,9 +84,6 @@ class CSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def trunc(self, order: int) -> "CSeries":
-        return CSeries(self.coeffs, order)
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -155,17 +152,6 @@ class CSeries:
     def __rtruediv__(self, other) -> "CSeries":
         return self._coerce(other) * self.reciprocal()
 
-    def compose(self, inner: "CSeries") -> "CSeries":
-        """self(inner(z)) modulo z^K; inner must have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("compose requires inner.coeffs[0] == 0")
-        n = min(self.order, inner.order)
-        g = inner.trunc(n)
-        acc = CSeries.constant(self.coeffs[n - 1], n)
-        for l in range(n - 2, -1, -1):
-            acc = acc * g + self.coeffs[l]
-        return acc
-
     def affine_substitute(self, shift: complex, scale: complex) -> "CSeries":
         """Re-expand around a new origin: returns f(shift + scale*x).
 
@@ -183,18 +169,6 @@ class CSeries:
         if n > 1:
             c[: n - 1] = self.coeffs[1:] * np.arange(1, n)
         return CSeries(c)
-
-    def exp(self) -> "CSeries":
-        """Series exponential; works for any constant term."""
-        n = self.order
-        g = self.coeffs
-        e = np.zeros(n, dtype=complex)
-        e[0] = cmath.exp(g[0])
-        # e' = g' e  =>  (l+1) e_{l+1} = sum_{j=0..l} (j+1) g_{j+1} e_{l-j}
-        for l in range(n - 1):
-            j = np.arange(0, l + 1)
-            e[l + 1] = np.dot((j + 1) * g[j + 1], e[l - j]) / (l + 1)
-        return CSeries(e)
 
     def eval(self, z):
         """Horner evaluation at a point or ndarray of points."""
@@ -400,9 +374,6 @@ class BranchedLog:
 
     def shifted(self, delta_arg: float) -> "BranchedLog":
         return BranchedLog(self.modulus, self.arg + delta_arg)
-
-    def sqrt(self) -> "BranchedLog":
-        return ramified_sqrt(self)
 
     def log(self) -> complex:
         if self.modulus == 0.0:

@@ -7,8 +7,8 @@ reproducible from the recorded arguments alone.
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
 error (including an invalid system descriptor, a numeric option out of
 range, a rotation omega outside the sector |arg omega| < eta, a contour
-too close to a zero of h, and a failed Picard solve), 3 NonGeneric,
-4 Indeterminate.
+too close to a zero of h, a monodromy transport that does not converge,
+and a failed Picard solve), 3 NonGeneric, 4 Indeterminate.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .geometry import (
     write_trajectories_csv,
 )
 from .invariants import FormalInvariants, NonGeneric, extract_formal, reduce
-from .monodromy import SingularityTooClose, gamma_numeric
+from .monodromy import SingularityTooClose, StepUnderflow, gamma_numeric
 from .normal_forms import (
     DegenerateDenominator,
     build_b_form,
@@ -74,6 +74,7 @@ EXIT_CODES = {
     NonGeneric: EXIT_NON_GENERIC,
     BadDescriptor: EXIT_PARSE,
     SingularityTooClose: EXIT_PARSE,
+    StepUnderflow: EXIT_PARSE,
     NoOverlap: EXIT_PARSE,
     ContractionViolated: EXIT_PARSE,
     DegenerateDenominator: EXIT_PARSE,
@@ -160,15 +161,23 @@ def _json_complex(value) -> complex:
     return complex(*value) if isinstance(value, list) else complex(value)
 
 
-def _rotation(args):
-    """omega from --omega or --omega-arg; None, after a one-line message,
-    unless omega != 0 and |arg omega| < eta."""
+def _flow_domain(args, sup_sr: float, **fields):
+    """(omega, DomainConfig) from the options portrait and normcheck share;
+    None, after a one-line message, unless omega != 0, |arg omega| < eta
+    and the annulus constants satisfy the contraction inequality for
+    ``sup_sr`` = sup|s r|.  ``fields`` are further DomainConfig fields."""
     omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
     if omega == 0 or abs(cmath.phase(omega)) >= args.eta:
         print(f"error: omega = {omega} must be nonzero with |arg omega| < eta = {args.eta:.6g}",
               file=sys.stderr)
         return None
-    return omega
+    cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L, xi_max=args.xi_max,
+                       **fields)
+    if not cfg.feasible(sup_sr):
+        print(f"error: annulus constants violate the contraction inequality "
+              f"(sup|s r| = {sup_sr:.6g})", file=sys.stderr)
+        return None
+    return omega, cfg
 
 
 def _ensure_outdir(args) -> str:
@@ -259,15 +268,10 @@ def cmd_normalform(args) -> int:
 
 def cmd_portrait(args) -> int:
     mu, eps = args.mu, args.eps
-    omega = _rotation(args)
-    if omega is None:
+    domain = _flow_domain(args, args.sup_sr)
+    if domain is None:
         return EXIT_PARSE
-    cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L,
-                       xi_max=args.xi_max)
-    if not cfg.feasible(args.sup_sr):
-        print("error: annulus constants violate the contraction inequality",
-              file=sys.stderr)
-        return EXIT_PARSE
+    omega, cfg = domain
     rp = RamifiedPoint.from_values(mu, eps)
     out = _ensure_outdir(args)
 
@@ -347,22 +351,17 @@ def cmd_kappa(args) -> int:
 
 def cmd_normcheck(args) -> int:
     mu, eps = args.mu, args.eps
-    omega = _rotation(args)
-    if omega is None:
-        return EXIT_PARSE
     r = CSeries(args.r_coeffs, args.order) if args.r_coeffs else None
-    cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L,
-                       trace_step=args.trace_step,
-                       parabolic_capture=args.parabolic_capture,
-                       xi_max=args.xi_max)
     sup_sr = 0.0
     if r is not None:
-        ss = np.linspace(-cfg.delta_s, cfg.delta_s, 101)
+        ss = np.linspace(-args.delta_s, args.delta_s, 101)
         grid = ss[None, :] + 1j * ss[:, None]
         sup_sr = float(np.max(np.abs(grid * r.eval(grid * grid - mu))))
-    if not cfg.feasible(sup_sr):
-        print("error: contraction inequality violated for this r", file=sys.stderr)
+    domain = _flow_domain(args, sup_sr, trace_step=args.trace_step,
+                          parabolic_capture=args.parabolic_capture)
+    if domain is None:
         return EXIT_PARSE
+    omega, cfg = domain
     rp = RamifiedPoint.from_values(mu, eps)
     sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=args.seed_dir,
                                        tol=args.tol)
@@ -422,17 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="q or b value as 're,im' (q defaults to the closed form in gamma)")
     q.set_defaults(func=cmd_normalform)
 
-    q = sub.add_parser("portrait", help="trajectories, regions and bifurcation CSVs")
-    q.add_argument("--mu", type=_parse_complex, required=True)
-    q.add_argument("--eps", type=_parse_complex, required=True)
-    q.add_argument("--omega", type=_parse_complex, default=None)
-    q.add_argument("--omega-arg", type=float, default=0.0, dest="omega_arg")
+    # the parameter point, rotation and annulus options of the flow commands
+    flow = argparse.ArgumentParser(add_help=False)
+    flow.add_argument("--mu", type=_parse_complex, required=True)
+    flow.add_argument("--eps", type=_parse_complex, required=True)
+    flow.add_argument("--omega", type=_parse_complex, default=None)
+    flow.add_argument("--omega-arg", type=float, default=0.0, dest="omega_arg")
+    flow.add_argument("--eta", type=float, default=math.pi / 6)
+    flow.add_argument("--delta-s", type=float, default=0.5, dest="delta_s")
+    flow.add_argument("--L", type=float, default=2.0)
+    flow.add_argument("--xi-max", type=float, default=None, dest="xi_max")
+
+    q = sub.add_parser("portrait", parents=[flow],
+                       help="trajectories, regions and bifurcation CSVs")
     q.add_argument("--grid", type=int, default=41)
     q.add_argument("--trajectories", type=int, default=8)
-    q.add_argument("--eta", type=float, default=math.pi / 6)
-    q.add_argument("--delta-s", type=float, default=0.5, dest="delta_s")
-    q.add_argument("--L", type=float, default=2.0)
-    q.add_argument("--xi-max", type=float, default=None, dest="xi_max")
     q.add_argument("--sup-sr", type=float, default=0.0, dest="sup_sr")
     q.set_defaults(func=cmd_portrait)
 
@@ -445,21 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit the per-sample residual rows from the report")
     q.set_defaults(func=cmd_kappa)
 
-    q = sub.add_parser("normcheck", help="Picard solve + diagonalizer assembly")
-    q.add_argument("--mu", type=_parse_complex, required=True)
-    q.add_argument("--eps", type=_parse_complex, required=True)
-    q.add_argument("--omega", type=_parse_complex, default=None)
-    q.add_argument("--omega-arg", type=float, default=0.0, dest="omega_arg")
+    q = sub.add_parser("normcheck", parents=[flow], help="Picard solve + diagonalizer assembly")
     q.add_argument("--r-coeffs", type=_parse_complex_list, default=None, dest="r_coeffs",
                    help="semicolon-separated complex coefficients of r")
     q.add_argument("--seed-dir", type=_parse_complex, default=None, dest="seed_dir")
-    q.add_argument("--eta", type=float, default=math.pi / 6)
-    q.add_argument("--delta-s", type=float, default=0.5, dest="delta_s")
-    q.add_argument("--L", type=float, default=2.0)
     q.add_argument("--trace-step", type=float, default=5e-3, dest="trace_step")
     q.add_argument("--parabolic-capture", type=float, default=1e-2,
                    dest="parabolic_capture")
-    q.add_argument("--xi-max", type=float, default=None, dest="xi_max")
     q.set_defaults(func=cmd_normcheck)
     return p
 

@@ -159,6 +159,10 @@ class RamifiedPoint:
 # domain configuration
 
 
+CLASSIFY_STEP = 5e-2    # RK4 step of the region-classification flow
+CAPTURE_RADIUS = 1e-9   # capture distance of a hyperbolic equilibrium (x 1e3 on grids)
+
+
 @dataclass(frozen=True)
 class DomainConfig:
     """Annulus and tracing constants.
@@ -172,8 +176,6 @@ class DomainConfig:
     L: float = 2.0
     xi_max: float | None = None
     trace_step: float = 5e-3
-    classify_step: float = 5e-2
-    capture_radius: float = 1e-9
     parabolic_capture: float = 1e-2
 
     @property
@@ -337,11 +339,33 @@ class TrajectoryRecord:
                                 self.direction)
 
 
-def _in_annulus(s: complex, mu: complex, eps: complex, cfg: DomainConfig) -> bool:
-    if abs(s) >= cfg.delta_s:
-        return False
+def _in_annulus(s, mu: complex, eps: complex, cfg: DomainConfig):
+    """|s| < delta_s and |(s^2 - mu)^2 - eps| < L |s|^4, for a complex or
+    elementwise for an ndarray; NaN fails both."""
     s2 = s * s
-    return abs(((s2 - mu) ** 2 - eps)) < cfg.L * abs(s2 * s2)
+    return (abs(s) < cfg.delta_s) & (abs((s2 - mu) ** 2 - eps) < cfg.L * abs(s2 * s2))
+
+
+def _field(v, w: complex, mu: complex, eps: complex):
+    """w * chi(v), multiplied out as (w * numerator) / denominator: the traced
+    samples, and so the CSV and JSON outputs, depend on that rounding."""
+    return w * ((v * v - mu) ** 2 - eps) / (4.0 * v * v)
+
+
+def _rk4_step(s, w: complex, mu: complex, eps: complex, h: float):
+    """One classical RK4 step of ds/dxi = w chi(s) from a complex or from an
+    ndarray of them.  A numpy step costs ~30 us however few lanes it has, a
+    Python complex step ~3 us, so a single arc is stepped as a complex."""
+    k1 = _field(s, w, mu, eps)
+    k2 = _field(s + 0.5 * h * k1, w, mu, eps)
+    k3 = _field(s + 0.5 * h * k2, w, mu, eps)
+    k4 = _field(s + h * k3, w, mu, eps)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _attractors(eqs: list[Equilibrium], w: complex) -> list[Equilibrium]:
+    """The equilibria a forward trajectory of w * chi can converge to."""
+    return [e for e in eqs if e.parabolic or (w * e.multiplier).real < 0.0]
 
 
 def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
@@ -349,7 +373,7 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
                      xi_max: float | None = None) -> TrajectoryRecord:
     """Fixed-step RK4 integration of ds/dxi = direction * omega * chi(s).
 
-    Stops on convergence to an equilibrium (within capture_radius for
+    Stops on convergence to an equilibrium (within CAPTURE_RADIUS for
     hyperbolic points, parabolic_capture with an inward-motion check for
     parabolic ones), on leaving the annulus, or at xi_max.
     """
@@ -357,9 +381,7 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
         cfg = DomainConfig()
     mu, eps = rp.mu_value, rp.eps_value
     w = direction * omega
-    eqs = equilibria(rp)
-    attracting = [e for e in eqs
-                  if e.parabolic or (w * e.multiplier).real < 0.0]
+    attracting = _attractors(equilibria(rp), w)
     h = cfg.trace_step
     limit = xi_max if xi_max is not None else cfg.xi_limit
     n_max = int(limit / h) + 1
@@ -368,20 +390,13 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
     terminal, target = "max-length", None
     approach = 0
 
-    def f(v: complex) -> complex:
-        return w * ((v * v - mu) ** 2 - eps) / (4.0 * v * v)
-
     for _ in range(n_max):
-        k1 = f(s)
-        k2 = f(s + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h * k2)
-        k4 = f(s + h * k3)
-        s_new = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s_new = _rk4_step(s, w, mu, eps, h)
         samples.append(s_new)
         stop = False
         for e in attracting:
             d = abs(s_new - e.s)
-            if not e.parabolic and d < cfg.capture_radius:
+            if not e.parabolic and d < CAPTURE_RADIUS:
                 terminal, target, stop = "converged", e.s, True
                 break
             if e.parabolic and d < cfg.parabolic_capture:
@@ -459,30 +474,22 @@ def _flow_endpoints(points: np.ndarray, w: complex, mu: complex, eps: complex,
                     cfg: DomainConfig, eq_list: list[Equilibrium]) -> np.ndarray:
     """Vectorized RK4 flow of all grid points; returns the index of the
     reached equilibrium per point (-1: left annulus or never converged)."""
-    h = cfg.classify_step
+    h = CLASSIFY_STEP
     n_steps = int(cfg.xi_limit / h) + 1
     s = points.astype(complex).copy()
     status = np.full(s.shape, -1, dtype=int)
     active = np.ones(s.shape, dtype=bool)
-    targets = [e for e in eq_list if e.parabolic or (w * e.multiplier).real < 0.0]
+    targets = _attractors(eq_list, w)
     if not targets:
         return status
     t_pos = np.array([e.s for e in targets])
     t_cap = np.array([cfg.parabolic_capture if e.parabolic else
-                      1e3 * cfg.capture_radius for e in targets])
-
-    def f(v):
-        return w * ((v * v - mu) ** 2 - eps) / (4.0 * v * v)
+                      1e3 * CAPTURE_RADIUS for e in targets])
 
     for _ in range(n_steps):
         if not active.any():
             break
-        v = s[active]
-        k1 = f(v)
-        k2 = f(v + 0.5 * h * k1)
-        k3 = f(v + 0.5 * h * k2)
-        k4 = f(v + h * k3)
-        v_new = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v_new = _rk4_step(s[active], w, mu, eps, h)
         s[active] = v_new
         idx = np.flatnonzero(active)
         dist = np.abs(v_new[:, None] - t_pos[None, :])
@@ -492,13 +499,9 @@ def _flow_endpoints(points: np.ndarray, w: complex, mu: complex, eps: complex,
             which = np.argmax(hit[captured], axis=1)
             status[idx[captured]] = which
             active[idx[captured]] = False
-        v_rest = v_new[~captured]
-        idx_rest = idx[~captured]
-        bad = (np.abs(v_rest) >= cfg.delta_s) | \
-              (np.abs((v_rest**2 - mu) ** 2 - eps) >= cfg.L * np.abs(v_rest) ** 4) | \
-              ~np.isfinite(v_rest)
-        if bad.any():
-            active[idx_rest[bad]] = False
+        left = ~_in_annulus(v_new[~captured], mu, eps, cfg)
+        if left.any():
+            active[idx[~captured][left]] = False
     # translate target indices into positions
     out = np.full(s.shape, np.nan, dtype=complex)
     for k in range(len(targets)):
@@ -522,7 +525,7 @@ def classify_regions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
         pts = (xs[None, :] + 1j * ys[:, None]).ravel()
     else:
         pts = np.asarray(grid, dtype=complex).ravel()
-    inside = np.array([_in_annulus(p, mu, eps, cfg) for p in pts])
+    inside = _in_annulus(pts, mu, eps, cfg)
     labels = np.full(pts.shape, REGION_NONE, dtype=int)
     eq_list = equilibria(rp)
     if not eq_list:

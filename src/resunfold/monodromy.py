@@ -24,7 +24,9 @@ class SingularityTooClose(ValueError):
 
 
 class StepUnderflow(RuntimeError):
-    """A local Taylor series did not converge within the fixed term cap."""
+    """The transport failed: a local Taylor series did not converge within
+    the fixed term cap, a contour needed more than the fixed step cap, or
+    the transport or its error bound overflowed."""
 
 
 @dataclass(frozen=True)
@@ -81,20 +83,9 @@ class Contour:
         pieces = [a + (b - a) * u for a, b in zip(self.points[:-1], self.points[1:]) if b != a]
         return np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
 
-    def start(self) -> complex:
-        for z, _L in self.segments():
-            return z(0.0)
-        raise ValueError("empty contour")
-
     def min_distance(self, pts) -> float:
         samples = self.sample(512)
         return float(min(abs(samples - complex(p)).min() for p in pts))
-
-    def scale(self) -> float:
-        if self.kind == "circle":
-            return self.radius
-        pts = np.asarray(self.points)
-        return float(max(np.abs(pts - pts.mean()).max(), 1e-12))
 
 
 @dataclass(frozen=True)
@@ -123,6 +114,7 @@ class Transport:
 _U = 2.0 ** -53     # unit roundoff
 _TAIL = 1e-5        # a local series stops once its tail bound is below _TAIL * tol
 _MAX_TERMS = 600    # ... or fails with StepUnderflow after this many terms
+_MAX_STEPS = 1000   # a contour fails with StepUnderflow after this many steps
 _BATCH = 4          # terms generated between two convergence checks
 _PANELS = 8         # Riemann panels bounding the integral of |A| / |h| on a step
 # a step shorter than half the root distance keeps that integral, the log of
@@ -213,6 +205,9 @@ def _taylor_step(B: np.ndarray, H0: complex, H1: complex, delta: complex,
     return T, bound + 8.0 * _U * float(terms.sum())
 
 
+# an overflow, in a step or in the product of the steps, leaves a non-finite
+# entry in M or in its bounds, which propagate refuses
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> Transport:
     """Fundamental-matrix transport Phi(end) Phi(start)^{-1} along the contour.
 
@@ -232,7 +227,8 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
     Raises ValueError for a tol outside [1e-13, 1e-6] or a non-finite h,
     SingularityTooClose when the contour comes too near a zero of h, and
     StepUnderflow when a local series does not converge within a fixed
-    number of terms.
+    number of terms, the contour needs more than a fixed number of steps,
+    or the transport or its error bound overflows.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -252,6 +248,8 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
     for z, L in contour.segments():
         t = 0.0
         while t < L:
+            if len(Ts) == _MAX_STEPS:
+                raise StepUnderflow(f"contour needs more than {_MAX_STEPS} Taylor steps")
             c = z(t)
             ra, rb = sorted(abs(c - root) for root in roots)
             if ra <= 1e-12 * spread:
@@ -281,7 +279,11 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
     r = np.abs(delta)
     Ts = np.array(Ts)
     local = np.array(bounds) + _norm(Ts) * r * gap / ((ra - r) * (rb - r))
-    return _carry(Ts, local)
+    tr = _carry(Ts, local)
+    if not (np.isfinite(tr.M).all() and math.isfinite(tr.error)
+            and math.isfinite(tr.trace_error)):
+        raise StepUnderflow("the transport or its error bound overflowed")
+    return tr
 
 
 def _carry(Ts: np.ndarray, local: np.ndarray) -> Transport:

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CSeries, PoleAtNonPositiveInteger, log_gamma
-from .geometry import DomainConfig, RamifiedPoint, TrajectoryRecord, trace_trajectory
+from .geometry import (
+    REGION_OUTER,
+    DomainConfig,
+    RamifiedPoint,
+    TrajectoryRecord,
+    chi,
+    classify_regions,
+    trace_trajectory,
+)
 from .normal_forms import q_from_gamma
 
 
@@ -124,7 +132,7 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
     w = traj.omega
     s = traj.s
     dxi = traj.dxi
-    chi_vals = ((s * s - mu) ** 2 - eps) / (4.0 * s * s)
+    chi_vals = chi(s, mu, eps)
     r_vals = _eval_r(r, s * s - mu)
     inv2s = 1.0 / (2.0 * s)
 
@@ -178,7 +186,7 @@ def p_equation_residual(sol: PSolution, r, interior: float = 0.1) -> float:
     sl = slice(lo + 1, hi - 1)
     dp_dxi = (p[lo + 2:hi] - p[lo:hi - 2]) / (2.0 * traj.dxi)
     sm, pm = s[sl], p[sl]
-    chi_m = ((sm * sm - mu) ** 2 - eps) / (4.0 * sm * sm)
+    chi_m = chi(sm, mu, eps)
     dp_ds = dp_dxi / (w * chi_m)
     hom = 4.0 * sm * sm / ((sm * sm - mu) ** 2 - eps)
     rhs = hom * pm + (1.0 - pm * pm) / (2.0 * sm) \
@@ -274,8 +282,7 @@ def assemble_F(p_i_sol: PSolution, p_j_sol: PSolution, rp: RamifiedPoint,
 
     # ds = omega chi dxi: integrate in xi on the uniform grid
     w = arc.omega
-    chi_vals = ((s * s - mu) ** 2 - arc.eps) / (4.0 * s * s)
-    ds_dxi = w * chi_vals
+    ds_dxi = w * chi(s, mu, arc.eps)
 
     I_jP = _running_simpson(2.0 * beta_jP * ds_dxi, arc.dxi)   # from the -s_j end
     I_i_rev = _running_simpson(2.0 * beta_i * ds_dxi, arc.dxi)
@@ -344,10 +351,7 @@ def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
         if d == 0:
             raise NoOverlap("no default seed direction at mu = eps = 0")
         seed_dir = d / abs(d)
-    arc = connecting_arc(rp, omega, cfg, seed_dir, xi_max=xi_max)
-    sol_i = solve_p(arc, r, rp, tol=tol)
-    sol_j = solve_p(arc.reversed_negated(), r, rp, tol=tol)
-    return sol_i, sol_j
+    return _picard_pair(connecting_arc(rp, omega, cfg, seed_dir, xi_max=xi_max), r, rp, tol)
 
 
 def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
@@ -359,16 +363,18 @@ def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     interior point of the outer region.
     """
     if seed_point is None:
-        from .geometry import REGION_OUTER, classify_regions
         pts, labels = classify_regions(rp, omega, cfg, grid=(41, 41))
         outer = pts[labels == REGION_OUTER]
         if len(outer) == 0:
             raise NoOverlap("no outer-region points found on the seed grid")
         seed_point = complex(outer[len(outer) // 2])
     arc = connecting_arc(rp, omega, cfg, seed_point=seed_point, xi_max=xi_max)
-    sol_i = solve_p(arc, r, rp, tol=tol)
-    sol_j = solve_p(arc.reversed_negated(), r, rp, tol=tol)
-    return sol_i, sol_j
+    return _picard_pair(arc, r, rp, tol)
+
+
+def _picard_pair(arc: TrajectoryRecord, r, rp: RamifiedPoint, tol: float):
+    """The Picard solutions on an arc and on its reversed-negated arc."""
+    return solve_p(arc, r, rp, tol=tol), solve_p(arc.reversed_negated(), r, rp, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +407,7 @@ def kappa_formulas(rp: RamifiedPoint, Q: complex):
     if rp.eps.modulus == 0.0:
         raise GammaPole("kappa formulas need eps != 0 (use the stated limits)")
     l1, l2, la, lb = rp.log_n1, rp.log_n2, rp.log_a, rp.log_b
-    n1, n2 = cmath.exp(l1), cmath.exp(l2)
-    a, b = cmath.exp(la), cmath.exp(lb)
+    n1, n2, a, b = rp.n1, rp.n2, rp.a, rp.b
     log_2pi = math.log(2.0 * math.pi)
     log_kI = (0.5 * (l1 + l2) + _lg(n1) + _lg(n2)
               - _lg(1.0 + b - Q) - _lg(b + Q)
@@ -485,7 +490,7 @@ def c_matrices(a: complex, kappa: complex, gamma: complex):
 
 def connection_matrices(rp: RamifiedPoint, kappa: complex, gamma: complex):
     """C0..C4, N1, N2, N at a ramified point with given kappa and gamma."""
-    a = cmath.exp(rp.log_a) if rp.eps.modulus > 0.0 else rp.a
+    a = rp.a
     C0, C1, C2, C3, C4 = c_matrices(a, kappa, gamma)
     if rp.eps.modulus > 0.0:
         n1, n2 = rp.n1, rp.n2
@@ -508,7 +513,7 @@ def connection_data(rp: RamifiedPoint, gamma: complex | None = None,
         gamma = 2.0 * cmath.cos(2.0 * math.pi * Q)
     kI, kO, k = kappa_formulas(rp, Q)
     (C0, C1, C2, C3, C4), (N, N1, N2) = connection_matrices(rp, k, gamma)
-    return ConnectionData(rp, cmath.exp(rp.log_a), cmath.exp(rp.log_b), Q,
+    return ConnectionData(rp, rp.a, rp.b, Q,
                           gamma, kI, kO, k, C0, C1, C2, C3, C4, N, N1, N2)
 
 
@@ -543,7 +548,7 @@ def verify_cocycles(rp_bar: RamifiedPoint, Q: complex) -> dict:
 
     e2 = cmath.exp(1j * math.pi * rp_bar.n2)
     eq11_rhs = k_s * k_b * e2 / (e2 - 1.0 / e2)
-    a_bar = cmath.exp(rp_bar.log_a)
+    a_bar = rp_bar.a
     e_a = cmath.exp(-2j * math.pi * a_bar)
     cos_term = cmath.exp(2j * math.pi * a_bar) + e_a
     kk_term = k_b * k_r * e_a
@@ -559,7 +564,7 @@ def verify_cocycles(rp_bar: RamifiedPoint, Q: complex) -> dict:
         "gamma_q": _rel(gamma, 2.0 * cmath.cos(2.0 * math.pi * Q)),
         "sigma_fixes_s1": abs(rp_sigma.s1 - rp_bar.s1),
         "sigma_flips_s2": abs(rp_sigma.s2 + rp_bar.s2),
-        "rho_flips_a": abs(cmath.exp(rp_rho.log_a) + a_bar),
+        "rho_flips_a": abs(rp_rho.a + a_bar),
     })
     return res
 

@@ -1,13 +1,18 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import resunfold
 from conftest import model_system, random_gauge
+from resunfold.algebra import CSeriesMat2
 from resunfold.cli import main
 from resunfold.invariants import FormalInvariants, extract_formal
 from resunfold.monodromy import gamma_numeric
@@ -307,12 +312,31 @@ def test_contour_too_close_exit_parse(command, tmp_path, capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["model", "random"])
+# flow-layer runs whose outputs were written by the CLI before the two RK4
+# loops shared one step; trajectories.csv (1.26 MB) is kept as its SHA-256
+FLOW_RUNS = {
+    "portrait": ["--seed", "1", "portrait", "--mu=0.05,0.02", "--eps=0.0016,0.0005",
+                 "--omega-arg=-0.3", "--grid", "21", "--trajectories", "2"],
+    "normcheck": ["normcheck", "--mu=0.05", "--eps=0.0016"],
+}
+
+
+@pytest.mark.parametrize("name", ["model", "random", "portrait", "normcheck"])
 def test_outputs_keep_golden_bytes(name, tmp_path):
     """invariants -> normalform -> equiv on a model and a random K=24
     descriptor reproduces files written by the CLI before series matrices
-    became (K, 2, 2) arrays, byte for byte; so does a descriptor round trip."""
+    became (K, 2, 2) arrays, byte for byte; so does a descriptor round trip.
+    portrait and normcheck reproduce the files of ``FLOW_RUNS``."""
     d, out = GOLDEN / name, tmp_path / "o"
+    if name in FLOW_RUNS:
+        assert main(["--out", str(out), *FLOW_RUNS[name]]) == 0
+        for golden in sorted(d.iterdir()):
+            if golden.suffix == ".sha256":
+                digest = hashlib.sha256((out / golden.stem).read_bytes()).hexdigest()
+                assert digest == golden.read_text().strip(), golden.stem
+            else:
+                assert (out / golden.name).read_bytes() == golden.read_bytes(), golden.name
+        return
     assert main(["--out", str(out), "invariants", str(d / "system.json")]) == 0
     assert main(["--out", str(out), "normalform", str(d / "invariants.json")]) == 0
     assert main(["--out", str(out), "equiv", str(d / "system.json"),
@@ -321,3 +345,40 @@ def test_outputs_keep_golden_bytes(name, tmp_path):
         assert (out / f).read_bytes() == (d / f).read_bytes(), f
     ParametricSystem.load(d / "system.json").save(tmp_path / "system.json")
     assert (tmp_path / "system.json").read_bytes() == (d / "system.json").read_bytes()
+
+
+def decaying_descriptor(path, base):
+    """h = z^2 + 4, zeros at +-2i, and a K=24 A with standard normal entries
+    (seed 3) whose z^l coefficient is scaled by base^l."""
+    A = np.random.default_rng(3).normal(size=(24, 2, 2)) * base ** np.arange(24)[:, None, None]
+    return write_system(ParametricSystem(4.0, 0.0, CSeriesMat2.from_coeffs(A)), path)
+
+
+@pytest.mark.parametrize("command", ["invariants", "equiv"])
+def test_step_underflow_exit_parse(command, tmp_path, capsys):
+    """At base 0.5 a local Taylor series of the transport does not converge
+    within the term cap: a one-line error with exit 2, no output file."""
+    p = decaying_descriptor(tmp_path / "d.json", 0.5)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), command, *([p] if command == "invariants" else [p, p])]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "did not converge" in err
+    assert not out.exists()
+
+
+def test_step_cap_bounds_transport_work(tmp_path, capsys):
+    """At base 0.3 the transport needs ~2e5 steps and ends in NaN without
+    a step cap; with it the command exits 2 in seconds.  At base 0.2 (~100
+    steps) it still exits 0 with finite numbers."""
+    started = time.perf_counter()
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "invariants",
+                 decaying_descriptor(tmp_path / "d3.json", 0.3)]) == 2
+    assert time.perf_counter() - started < 60.0
+    assert "Taylor steps" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--out", str(out), "invariants",
+                 decaying_descriptor(tmp_path / "d2.json", 0.2)]) == 0
+    data = json.loads((out / "invariants.json").read_text())
+    assert all(math.isfinite(x) for key in ("gamma", "est_error")
+               for x in np.ravel(data[key]))

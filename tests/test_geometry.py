@@ -183,6 +183,36 @@ def test_trajectory_explicit_flow_oracle():
     assert abs(rec.s[-1]) < abs(rec.s[0])
 
 
+def test_rk4_step_and_annulus_agree_on_scalars_and_arrays():
+    """trace_trajectory steps one complex, the region flow an ndarray of
+    them, through the same RK4 step and annulus test.  numpy's complex
+    multiply, divide and abs may round differently from Python's, so an
+    array lane matches the scalar run to rounding, and the two annulus
+    tests agree on every grid point that is not within rounding of a tie
+    (this grid has points on |s| = delta_s)."""
+    from resunfold.geometry import _in_annulus, _rk4_step
+    mu, eps, w, h = 0.05 + 0.02j, 0.0016 + 0.0005j, cmath.exp(-0.3j), 5e-3
+    lanes = np.array([0.2 + 0.1j, -0.3 + 0.05j, 0.1 - 0.25j])
+    scalars = lanes.tolist()
+    for _ in range(2000):
+        lanes = _rk4_step(lanes, w, mu, eps, h)
+        scalars = [_rk4_step(v, w, mu, eps, h) for v in scalars]
+    assert np.max(np.abs(lanes - np.array(scalars))) < 1e-14
+    cfg = DomainConfig()
+    xs = np.linspace(-0.6, 0.6, 61)
+    pts = (xs[None, :] + 1j * xs[:, None]).ravel()
+    inside = _in_annulus(pts, mu, eps, cfg)
+    assert 0 < inside.sum() < len(pts)
+    s2 = pts * pts
+    num, quartic = np.abs((s2 - mu) ** 2 - eps), cfg.L * np.abs(s2 * s2)
+    clear = ((np.abs(np.abs(pts) - cfg.delta_s) > 1e-12)
+             & (np.abs(num - quartic) > 1e-12 * quartic))
+    scalar = np.array([bool(_in_annulus(complex(p), mu, eps, cfg)) for p in pts])
+    assert clear.sum() > 0.99 * len(pts)
+    assert np.array_equal(inside[clear], scalar[clear])
+    assert not _in_annulus(complex("nan+nanj"), mu, eps, cfg)
+
+
 def test_trajectory_equilibrium_is_fixed():
     rp = RamifiedPoint.from_values(0.05, 0.0016)
     cfg = DomainConfig()

@@ -220,6 +220,26 @@ def test_step_underflow_on_term_cap(monkeypatch):
         propagate(model_system(0.1, 0.01), Contour.circle(0.0, 1.0), tol=1e-9)
 
 
+def test_step_underflow_on_step_cap(monkeypatch):
+    import resunfold.monodromy as monodromy
+    monkeypatch.setattr(monodromy, "_MAX_STEPS", 5)
+    with pytest.raises(StepUnderflow, match="more than 5 Taylor steps"):
+        propagate(model_system(0.1, 0.01), Contour.circle(0.0, 1.0), tol=1e-9)
+
+
+def test_step_underflow_on_overflowing_transport(recwarn):
+    """A = diag(200 z^2, -200 z^2) + [[0, 1], [0, 0]], h = z^2 + 0.01: every
+    step transport is finite, but their product around the loop leaves the
+    double range, and propagate refuses it instead of returning NaN."""
+    A = np.zeros((24, 2, 2), dtype=complex)
+    A[0, 0, 1] = 1.0
+    A[2] = np.diag([200.0, -200.0])
+    s = ParametricSystem(0.01, 0.0, CSeriesMat2.from_coeffs(A))
+    with pytest.raises(StepUnderflow, match="overflowed"):
+        gamma_numeric(s, tol=1e-9)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_propagate_rejects_non_finite_h():
     for h0, h1 in ((float("nan"), 0.0), (-1.0, complex(float("inf"), 0.0))):
         s = linear_system(np.eye(2), np.zeros((2, 2)), h0, h1)

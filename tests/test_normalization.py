@@ -253,6 +253,38 @@ def test_kappa_ratio_identity(rng):
         assert abs(k - kO / kI) < 1e-10 * max(1.0, abs(k))
 
 
+@pytest.mark.parametrize("mu, eps, Q", [
+    (0.09, 0.0049, 0.1),
+    (0.05 + 0.02j, 0.0016 + 0.0005j, 0.2 - 0.1j),
+    (0.1j, 0.003 - 0.001j, -0.15 + 0.05j),
+    (-0.07 + 0.03j, 0.002j, 0.25),
+    (0.03 - 0.05j, 0.0003 + 0.004j, -0.2j),
+])
+def test_kappa_formulas_mpmath_oracle(mu, eps, Q):
+    """The three kappa closed forms against the same Gamma products in
+    mpmath (30 digits), n_i, a, b and their principal logarithms rebuilt
+    from (mu, eps) on the base sheet."""
+    mpmath = pytest.importorskip("mpmath")
+    mp, G = mpmath.mp, mpmath.gamma
+    with mp.workdps(30):
+        mu_, eps_, Q_ = mp.mpc(mu), mp.mpc(eps), mp.mpc(Q)
+        se = mp.sqrt(eps_)
+        n1, n2 = mp.sqrt(mu_ + se) / se, mp.sqrt(mu_ - se) / se
+        a, b = (n1 - n2) / 2, (n1 + n2) / 2
+        l1, l2, la, lb = mp.log(n1), mp.log(n2), mp.log(a), mp.log(b)
+        kI = (mp.exp((l1 + l2) / 2) * G(n1) * G(n2) / (G(1 + b - Q_) * G(b + Q_))
+              * mp.exp(2 * b * lb - n1 * l1 - n2 * l2))
+        kO = (2 * mp.pi * G(n1) * G(1 + n1)
+              / (G(1 + a - Q_) * G(1 + b - Q_) * G(a + Q_) * G(b + Q_))
+              * mp.exp(2 * a * la + 2 * b * lb - 2 * n1 * l1))
+        k = (2 * mp.pi * mp.exp((l1 - l2) / 2) * G(n1) / (G(n2) * G(1 + a - Q_) * G(a + Q_))
+             * mp.exp(2 * a * la - n1 * l1 + n2 * l2))
+        refs = [complex(x) for x in (kI, kO, k)]
+    got = kappa_formulas(RamifiedPoint.from_values(mu, eps), Q)
+    for value, ref in zip(got, refs):
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
 def test_kappa_stirling_limit_inner():
     rp = RamifiedPoint.from_values(0.09, 1e-6)
     kI, _, _ = kappa_formulas(rp, 0.1)
