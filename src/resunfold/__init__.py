@@ -37,7 +37,9 @@ from .invariants import (
     NonGeneric,
     ReducedParams,
     ReducedSystem,
+    RootOutsideUnitDisc,
     Step1Failure,
+    check_unit_disc,
     extract_formal,
     prenormalize,
     reduce,

@@ -6,9 +6,11 @@ reproducible from the recorded arguments alone.
 
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
 error (including an invalid system descriptor, a numeric option out of
-range, a rotation omega outside the sector |arg omega| < eta, a contour
-too close to a zero of h, a monodromy transport that does not converge,
-and a failed Picard solve), 3 NonGeneric, 4 Indeterminate.
+range, a rotation omega outside the sector |arg omega| < eta, a zero of h
+outside the unit disc, a contour too close to a zero of h, a monodromy
+transport that does not converge, and a failed Picard solve),
+3 NonGeneric, 4 Indeterminate, 5 a gamma whose error bound is not small
+against it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,14 @@ from .geometry import (
     write_regions_csv,
     write_trajectories_csv,
 )
-from .invariants import FormalInvariants, NonGeneric, extract_formal, reduce
+from .invariants import (
+    FormalInvariants,
+    NonGeneric,
+    RootOutsideUnitDisc,
+    check_unit_disc,
+    extract_formal,
+    reduce,
+)
 from .monodromy import SingularityTooClose, StepUnderflow, gamma_numeric
 from .normal_forms import (
     DegenerateDenominator,
@@ -67,12 +76,23 @@ EXIT_NOT_EQUIVALENT = 1
 EXIT_PARSE = 2
 EXIT_NON_GENERIC = 3
 EXIT_INDETERMINATE = 4
+EXIT_UNRELIABLE = 5
+
+# invariants refuses a gamma whose est_error exceeds this fraction of max(1, |gamma|)
+GAMMA_ERROR_MAX = 1e-3
+
+
+class UnreliableGamma(ArithmeticError):
+    """The transport's error bound on gamma is not small against gamma."""
+
 
 # the package's named errors a command reports with a one-line message;
 # any other exception is a bug and propagates
 EXIT_CODES = {
     NonGeneric: EXIT_NON_GENERIC,
+    UnreliableGamma: EXIT_UNRELIABLE,
     BadDescriptor: EXIT_PARSE,
+    RootOutsideUnitDisc: EXIT_PARSE,
     SingularityTooClose: EXIT_PARSE,
     StepUnderflow: EXIT_PARSE,
     NoOverlap: EXIT_PARSE,
@@ -180,6 +200,13 @@ def _flow_domain(args, sup_sr: float, **fields):
     return omega, cfg
 
 
+def _load_germ(path) -> ParametricSystem:
+    """The system of a descriptor file, with both zeros of h in the unit disc."""
+    system = ParametricSystem.load(path)
+    check_unit_disc(system)
+    return system
+
+
 def _ensure_outdir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -191,11 +218,14 @@ def _ensure_outdir(args) -> str:
 
 
 def cmd_invariants(args) -> int:
-    system = ParametricSystem.load(args.system)
+    system = _load_germ(args.system)
     F = extract_formal(system)
     params, _ = reduce(system, F)
     res = gamma_numeric(system, F, tol=args.gamma_tol,
                         validity_radius=args.validity_radius)
+    if not res.est_error <= GAMMA_ERROR_MAX * max(1.0, abs(res.gamma)):
+        raise UnreliableGamma(f"gamma = {res.gamma:.6g} has est_error = {res.est_error:.3g}, "
+                              f"above {GAMMA_ERROR_MAX:g} * max(1, |gamma|)")
     payload = {
         "h": [F.h0, F.h1],
         "lambda": [F.lambda0, F.lambda1],
@@ -214,8 +244,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    sys_a = ParametricSystem.load(args.system_a)
-    sys_b = ParametricSystem.load(args.system_b)
+    sys_a = _load_germ(args.system_a)
+    sys_b = _load_germ(args.system_b)
     verdict, report = decide_equivalence(sys_a, sys_b, tol=args.tol,
                                          gamma_tol=args.gamma_tol,
                                          validity_radius=args.validity_radius)

@@ -381,10 +381,12 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
         cfg = DomainConfig()
     mu, eps = rp.mu_value, rp.eps_value
     w = direction * omega
-    attracting = _attractors(equilibria(rp), w)
     h = cfg.trace_step
     limit = xi_max if xi_max is not None else cfg.xi_limit
     n_max = int(limit / h) + 1
+    if mu == 0 and eps == 0:
+        return _confluent_trajectory(complex(s0), omega, mu, eps, cfg, direction, n_max)
+    attracting = _attractors(equilibria(rp), w)
     samples = [complex(s0)]
     s = complex(s0)
     terminal, target = "max-length", None
@@ -418,6 +420,34 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
     arr = np.asarray(samples)
     xi = np.arange(len(arr)) * h
     return TrajectoryRecord(omega, mu, eps, xi, arr, terminal, target, direction)
+
+
+def _confluent_trajectory(s0: complex, omega: complex, mu: complex, eps: complex,
+                          cfg: DomainConfig, direction: int, n_max: int) -> TrajectoryRecord:
+    """trace_trajectory at mu = eps = 0, where theta = -2/s solves the flow:
+    1/s = 1/s0 - w xi / 4.  Samples that closed form on the xi grid of the
+    RK4 loop and stops by its rules: five consecutive approaching samples
+    inside the parabolic capture disc (samples outside it neither count nor
+    reset), or a sample outside the annulus."""
+    w = direction * omega
+    xi = np.arange(n_max + 1) * cfg.trace_step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = s0 / (1.0 - (w * s0 / 4.0) * xi)
+    d = np.abs(s)
+    in_cap = np.flatnonzero(d[1:] < cfg.parabolic_capture)
+    pos = np.arange(len(in_cap))
+    # approach count after each in-cap step: approaching steps since the last
+    # in-cap step that did not approach
+    run = pos - np.maximum.accumulate(np.where(d[1:][in_cap] < d[:-1][in_cap], -1, pos))
+    k_conv = in_cap[run >= 5][:1] + 1
+    k_left = np.flatnonzero(~_in_annulus(s[1:], 0.0, 0.0, cfg))[:1] + 1
+    terminal, target, n = "max-length", None, n_max
+    if k_conv.size and (not k_left.size or k_conv[0] <= k_left[0]):
+        terminal, target, n = "converged", 0.0, int(k_conv[0])
+    elif k_left.size:
+        terminal, n = "left-annulus", int(k_left[0])
+    return TrajectoryRecord(omega, mu, eps, xi[:n + 1], s[:n + 1], terminal, target,
+                            direction)
 
 
 def xi_theta_residuals(record: TrajectoryRecord,
@@ -470,21 +500,87 @@ REGION_NAMES = {
 }
 
 
+def _disc_radius(s_i: complex, k: int, g_i: complex, bound, margin: float,
+                 cfg: DomainConfig) -> float:
+    """Largest r (by bisection) with bound(r) <= margin whose closed disc
+    |s - s_i| <= r lies in the annulus, where chi(s) = (s - s_i)^k g(s) and
+    bound(r) >= sup |g(s) - g_i| on that disc; 0 if none.
+
+    The disc lies in the annulus when |s_i| + r < delta_s and
+    4 r^k (|g_i| + bound(r)) < L (|s_i| - r)^2, since
+    |(s^2 - mu)^2 - eps| = 4 |s|^2 |s - s_i|^k |g(s)| and |s| >= |s_i| - r.
+    Both tests and bound(r) grow with r, so bisection finds the edge.
+    """
+    a = abs(s_i)
+    lo, hi = 0.0, min(a, cfg.delta_s - a)
+    if hi <= 0.0:
+        return 0.0
+    for _ in range(50):
+        r = 0.5 * (lo + hi)
+        b = bound(r)
+        if b <= margin and 4.0 * r ** k * (abs(g_i) + b) < cfg.L * (a - r) ** 2:
+            lo = r
+        else:
+            hi = r
+    return lo
+
+
+def _capture_discs(targets: list[Equilibrium], w: complex, mu: complex,
+                   cfg: DomainConfig):
+    """Open discs, as arrays (centres, radii, ends), every point of which
+    flows to the attractor ends[j] of its disc without leaving the annulus.
+
+    Hyperbolic s_i: chi = (s - s_i) g with g = (s + s_i)(s^2 - t^2)/(4 s^2),
+    t^2 = 2 mu - s_i^2 and g(s_i) = lambda_i.  Where
+    |g - lambda_i| <= |Re(w lambda_i)| / (2 |w|), d|s - s_i|^2/dxi
+    <= Re(w lambda_i) |s - s_i|^2 < 0, so the disc of the largest such
+    radius (or of 1e3 CAPTURE_RADIUS if larger) is captured.
+
+    Parabolic s_m (eps = 0): chi = d^2 q with d = s - s_m,
+    q = (s + s_m)^2/(4 s^2) and |q - 1| <= y + y^2/4, y = r/(|s_m| - r),
+    on |d| <= r.  In u = 1/d the flow is du/dxi = -w q, so where
+    |q - 1| <= 1/2 the half-plane Re(-u conj(w))/|w| > 1/r is forward
+    invariant and runs to u = oo.  That half-plane is the petal disc
+    |d + (r/2) conj(w)/|w|| < r/2; it is captured beside the disc
+    |d| < parabolic_capture.
+    """
+    discs = []
+    for e in targets:
+        a = abs(e.s)
+        if e.parabolic:
+            discs.append((e.s, cfg.parabolic_capture, e.s))
+            if a > 0.0:
+                r = _disc_radius(e.s, 2, 1.0, lambda r: r / (a - r) + (r / (a - r)) ** 2 / 4.0,
+                                 0.5, cfg)
+                discs.append((e.s - 0.5 * r * w.conjugate() / abs(w), 0.5 * r, e.s))
+            continue
+        t2 = abs(2.0 * mu - e.s * e.s)
+
+        def bound(r):
+            return 0.25 * r * (1.0 + t2 / (a - r) ** 2
+                               + 2.0 * a * t2 * (2.0 * a + r) / (a * a * (a - r) ** 2))
+
+        margin = abs((w * e.multiplier).real) / (2.0 * abs(w))
+        r = _disc_radius(e.s, 1, e.multiplier, bound, margin, cfg)
+        discs.append((e.s, max(1e3 * CAPTURE_RADIUS, r), e.s))
+    centres, radii, ends = zip(*discs)
+    return np.array(centres, dtype=complex), np.array(radii), np.array(ends, dtype=complex)
+
+
 def _flow_endpoints(points: np.ndarray, w: complex, mu: complex, eps: complex,
                     cfg: DomainConfig, eq_list: list[Equilibrium]) -> np.ndarray:
-    """Vectorized RK4 flow of all grid points; returns the index of the
-    reached equilibrium per point (-1: left annulus or never converged)."""
+    """Vectorized RK4 flow of all grid points; returns the reached
+    equilibrium per point (NaN: left the annulus or never captured).  A lane
+    stops once it enters a capture disc of _capture_discs."""
     h = CLASSIFY_STEP
     n_steps = int(cfg.xi_limit / h) + 1
     s = points.astype(complex).copy()
-    status = np.full(s.shape, -1, dtype=int)
+    out = np.full(s.shape, np.nan, dtype=complex)
     active = np.ones(s.shape, dtype=bool)
     targets = _attractors(eq_list, w)
     if not targets:
-        return status
-    t_pos = np.array([e.s for e in targets])
-    t_cap = np.array([cfg.parabolic_capture if e.parabolic else
-                      1e3 * CAPTURE_RADIUS for e in targets])
+        return out
+    centres, radii, ends = _capture_discs(targets, w, mu, cfg)
 
     for _ in range(n_steps):
         if not active.any():
@@ -492,20 +588,14 @@ def _flow_endpoints(points: np.ndarray, w: complex, mu: complex, eps: complex,
         v_new = _rk4_step(s[active], w, mu, eps, h)
         s[active] = v_new
         idx = np.flatnonzero(active)
-        dist = np.abs(v_new[:, None] - t_pos[None, :])
-        hit = dist < t_cap[None, :]
+        hit = np.abs(v_new[:, None] - centres[None, :]) < radii[None, :]
         captured = hit.any(axis=1)
         if captured.any():
-            which = np.argmax(hit[captured], axis=1)
-            status[idx[captured]] = which
+            out[idx[captured]] = ends[np.argmax(hit[captured], axis=1)]
             active[idx[captured]] = False
         left = ~_in_annulus(v_new[~captured], mu, eps, cfg)
         if left.any():
             active[idx[~captured][left]] = False
-    # translate target indices into positions
-    out = np.full(s.shape, np.nan, dtype=complex)
-    for k in range(len(targets)):
-        out[status == k] = targets[k].s
     return out
 
 
@@ -516,6 +606,13 @@ def classify_regions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     R_I: runs from s1 (backward) to s2 (forward); R_I^P is its negation.
     Both outer regions run from s1 to -s1; the pair is split by the sign of
     Im(s/s1) (the upper one is R_O).  Returns (points, labels).
+
+    At mu = eps = 0 the labels come from the closed form theta = -2/s: the
+    trajectory through s0 is the line 1/s0 + R omega in the 1/s plane, so it
+    runs from 0 back to 0 inside the annulus exactly when that line misses
+    the disc |1/s| <= 1/delta_s.  Such a loop is R_I when
+    Im(conj(omega)/s0) < 0 (for omega = 1, the loops in the upper half
+    plane) and R_I^P, its negation, when Im(conj(omega)/s0) > 0.
     """
     mu, eps = rp.mu_value, rp.eps_value
     if isinstance(grid, tuple):
@@ -529,6 +626,12 @@ def classify_regions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     labels = np.full(pts.shape, REGION_NONE, dtype=int)
     eq_list = equilibria(rp)
     if not eq_list:
+        return pts, labels
+    if mu == 0 and eps == 0:
+        side = (np.conj(omega) / pts[inside]).imag / abs(omega)
+        labels[inside] = np.where(side < -1.0 / cfg.delta_s, REGION_INNER,
+                                  np.where(side > 1.0 / cfg.delta_s, REGION_INNER_P,
+                                           REGION_NONE))
         return pts, labels
     fwd = _flow_endpoints(pts[inside], omega, mu, eps, cfg, eq_list)
     bwd = _flow_endpoints(pts[inside], -omega, mu, eps, cfg, eq_list)

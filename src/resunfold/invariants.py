@@ -25,6 +25,11 @@ class InvariantMismatch(ValueError):
     """A series that should be divisible by h fails the divisibility check."""
 
 
+class RootOutsideUnitDisc(ValueError):
+    """A zero of h lies outside the closed unit disc, where the top-down
+    division of extract_formal amplifies rounding by up to |root|^(K-1)."""
+
+
 @dataclass(frozen=True)
 class FormalInvariants:
     """h, lambda, alpha as coefficient pairs; lambda(z) = l1 z + l0 etc."""
@@ -88,13 +93,23 @@ def extract_formal(system: ParametricSystem) -> FormalInvariants:
 
     Both remainders have degree <= 1.  The polynomial reduction runs from
     the top coefficient down, which is stable for h-roots inside the unit
-    disc (the germ setting).
+    disc (the germ setting; check_unit_disc guards it).
     """
     tr_half = system.A.trace() * 0.5
     _, (l0, l1) = tr_half.divmod_quadratic(system.h0, system.h1)
     neg_det = -(system.A - CSeries([l0, l1], system.order)).det()
     _, (a0, a1) = neg_det.divmod_quadratic(system.h0, system.h1)
     return FormalInvariants(system.h0, system.h1, l0, l1, a0, a1)
+
+
+def check_unit_disc(system: ParametricSystem) -> None:
+    """Raise RootOutsideUnitDisc if a zero of h lies outside the closed unit
+    disc.  The coordinate x = z / c, with c the largest root modulus, moves
+    both zeros onto the disc."""
+    root = max(system.h_roots(), key=abs)
+    if abs(root) > 1.0:
+        raise RootOutsideUnitDisc(f"h has a zero at {root:.6g}, outside the unit disc "
+                                  f"where the division by h is stable")
 
 
 def reduce(system: ParametricSystem, F: FormalInvariants | None = None,

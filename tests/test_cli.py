@@ -347,11 +347,16 @@ def test_outputs_keep_golden_bytes(name, tmp_path):
     assert (tmp_path / "system.json").read_bytes() == (d / "system.json").read_bytes()
 
 
-def decaying_descriptor(path, base):
+def decaying_descriptor(path, base, scale=6.0):
     """h = z^2 + 4, zeros at +-2i, and a K=24 A with standard normal entries
-    (seed 3) whose z^l coefficient is scaled by base^l."""
-    A = np.random.default_rng(3).normal(size=(24, 2, 2)) * base ** np.arange(24)[:, None, None]
-    return write_system(ParametricSystem(4.0, 0.0, CSeriesMat2.from_coeffs(A)), path)
+    (seed 3) whose z^l coefficient is scaled by base^l, written in the
+    coordinate x = z / scale: h / scale^2 = x^2 + 4 / scale^2 and
+    A(scale x) / scale.  The default scale puts the zeros at +-i/3, inside
+    the unit disc, and leaves gamma and the transport's steps as they are."""
+    powers = np.arange(24)[:, None, None]
+    A = np.random.default_rng(3).normal(size=(24, 2, 2)) * (scale * base) ** powers
+    return write_system(ParametricSystem(4.0 / scale ** 2, 0.0,
+                                         CSeriesMat2.from_coeffs(A / scale)), path)
 
 
 @pytest.mark.parametrize("command", ["invariants", "equiv"])
@@ -382,3 +387,50 @@ def test_step_cap_bounds_transport_work(tmp_path, capsys):
     data = json.loads((out / "invariants.json").read_text())
     assert all(math.isfinite(x) for key in ("gamma", "est_error")
                for x in np.ravel(data[key]))
+
+
+def test_root_outside_unit_disc_exit_parse(tmp_path, capsys):
+    """extract_formal divides by h from the top down, which is stable for
+    zeros of h in the unit disc: h = z^2 + 4 (zeros +-2i) exits 2 with a
+    one-line error and no output.  Its image in x = z / 6 (zeros +-i/3) is
+    accepted; its gamma, 9.785, is what the refused input's transport
+    gives too, so the refusal guards the documented domain."""
+    out = tmp_path / "o"
+    for command in ("invariants", "equiv"):
+        p = decaying_descriptor(tmp_path / "d.json", 0.2, scale=1.0)
+        files = [p] if command == "invariants" else [p, p]
+        assert main(["--out", str(out), command, *files]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "outside the unit disc" in err
+        assert not out.exists()
+    assert main(["--out", str(out), "invariants",
+                 decaying_descriptor(tmp_path / "x.json", 0.2)]) == 0
+    data = json.loads((out / "invariants.json").read_text())
+    assert abs(complex(*data["gamma"]) - 9.785153136957) < 1e-9 + data["est_error"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+def test_invariants_refuses_unreliable_gamma(tmp_path, capsys):
+    """invariants exits 5 when est_error is not small against max(1, |gamma|),
+    and writes nothing; the library call still returns the raw result.
+
+    A = diag(120 z^2, -120 z^2) + [[0, 1], [0, 0]] with h = z^2 + 0.01 has
+    gamma_numeric = 1.99996 + 5.6e-5 i with est_error = 4.8e195, but alpha1 = 0,
+    so invariants stops at NonGeneric (exit 3) before any transport.  With
+    A_21 = z (alpha1 = 1) the transport overflows the same way and
+    est_error reads inf."""
+    from resunfold.algebra import CSeries
+    from resunfold.cli import EXIT_CODES, EXIT_UNRELIABLE, UnreliableGamma
+    K = 24
+    out = tmp_path / "o"
+    for a21, code in (([0.0], 3), ([0.0, 1.0], EXIT_UNRELIABLE)):
+        A = CSeriesMat2(CSeries([0.0, 0.0, 120.0], K), CSeries.one(K), CSeries(a21, K),
+                        CSeries([0.0, 0.0, -120.0], K))
+        system = ParametricSystem(0.01, 0.0, A)
+        res = gamma_numeric(system)
+        assert not res.est_error <= 1e-3 * max(1.0, abs(res.gamma))
+        assert main(["--out", str(out), "invariants",
+                     write_system(system, tmp_path / "u.json")]) == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+    assert EXIT_CODES[UnreliableGamma] == EXIT_UNRELIABLE == 5

@@ -6,6 +6,8 @@ import pytest
 
 from resunfold.algebra import BranchedLog
 from resunfold.geometry import (
+    CAPTURE_RADIUS,
+    CLASSIFY_STEP,
     REGION_INNER,
     REGION_INNER_P,
     REGION_OUTER,
@@ -24,6 +26,13 @@ from resunfold.geometry import (
     theta_deriv,
     trace_trajectory,
     xi_theta_residuals,
+)
+from resunfold.geometry import (
+    _attractors,
+    _capture_discs,
+    _flow_endpoints,
+    _in_annulus,
+    _rk4_step,
 )
 
 
@@ -183,6 +192,62 @@ def test_trajectory_explicit_flow_oracle():
     assert abs(rec.s[-1]) < abs(rec.s[0])
 
 
+def test_confluent_trace_matches_rk4():
+    """At mu = eps = 0 trace_trajectory samples s0 / (1 - w s0 xi / 4); the
+    RK4 loop it replaces agrees to 1e-12 over its first 2,000 steps."""
+    rp = RamifiedPoint.from_values(0.0, 0.0)
+    cfg = DomainConfig()
+    for s0, omega, direction in ((0.3j, 1.0, 1), (0.2 - 0.35j, cmath.exp(0.3j), -1)):
+        rec = trace_trajectory(s0, omega, rp, cfg, direction=direction)
+        assert len(rec.s) > 2000
+        s, rk4 = complex(s0), [complex(s0)]
+        for _ in range(2000):
+            s = _rk4_step(s, direction * omega, 0.0, 0.0, cfg.trace_step)
+            rk4.append(s)
+        assert np.max(np.abs(rec.s[:2001] - np.array(rk4))) <= 1e-12
+
+
+def test_confluent_capture_time_from_closed_form():
+    """From s0 = 0.3i with omega = 1, |s| = 1/|1/s0 - xi/4| first drops below
+    the 1e-2 capture disc at xi = 4 sqrt(1e4 - 1/0.09) ~ 399.8, beyond the
+    default budget 200 / cos(pi/6) ~ 230.9; the trace converges five
+    approaching samples after that, and runs out at the default budget."""
+    rp = RamifiedPoint.from_values(0.0, 0.0)
+    cfg = DomainConfig()
+    h = cfg.trace_step
+    xi_in = 4.0 * math.sqrt(1e4 - 1.0 / 0.09)
+    rec = trace_trajectory(0.3j, 1.0, rp, cfg, xi_max=450.0)
+    assert rec.terminal == "converged" and rec.target == 0.0
+    assert abs(rec.xi[-1] - (math.ceil(xi_in / h) + 4) * h) < 0.5 * h
+    assert 399.0 < xi_in < 400.0
+    assert trace_trajectory(0.3j, 1.0, rp, cfg).terminal == "max-length"
+
+
+def test_confluent_labels_from_closed_form():
+    """At mu = eps = 0 the loops through 0 that stay in |s| < delta_s are
+    labelled, R_I where Im(conj(omega)/s0) < 0 and R_I^P on the other side;
+    the labels are P-symmetric, and long traces both ways converge exactly
+    at the labelled points (away from the tangency |Im(conj w / s0)| = 2)."""
+    rp = RamifiedPoint.from_values(0.0, 0.0)
+    cfg = DomainConfig()
+    omega = cmath.exp(0.15j)
+    xs = np.linspace(-0.45, 0.45, 30)
+    grid = (xs[None, :] + 1j * xs[:, None]).ravel()
+    pts, lab = classify_regions(rp, omega, cfg, grid=grid)
+    _, lab_neg = classify_regions(rp, omega, cfg, grid=-grid)
+    swap = {0: 0, REGION_INNER: REGION_INNER_P, REGION_INNER_P: REGION_INNER}
+    assert all(swap[int(a)] == int(b) for a, b in zip(lab, lab_neg))
+    assert int(np.sum(lab == REGION_INNER)) > 50
+    assert int(np.sum(lab == REGION_OUTER)) == int(np.sum(lab == REGION_OUTER_P)) == 0
+    side = (np.conj(omega) / pts).imag
+    assert np.all(side[lab == REGION_INNER] < 0) and np.all(side[lab == REGION_INNER_P] > 0)
+    clear = np.flatnonzero(np.abs(np.abs(side) - 1.0 / cfg.delta_s) > 0.2)
+    for k in clear[::20]:
+        ends = [trace_trajectory(pts[k], omega, rp, cfg, direction=d, xi_max=600.0).terminal
+                for d in (1, -1)]
+        assert (ends == ["converged", "converged"]) == (lab[k] != 0)
+
+
 def test_rk4_step_and_annulus_agree_on_scalars_and_arrays():
     """trace_trajectory steps one complex, the region flow an ndarray of
     them, through the same RK4 step and annulus test.  numpy's complex
@@ -190,7 +255,6 @@ def test_rk4_step_and_annulus_agree_on_scalars_and_arrays():
     array lane matches the scalar run to rounding, and the two annulus
     tests agree on every grid point that is not within rounding of a tie
     (this grid has points on |s| = delta_s)."""
-    from resunfold.geometry import _in_annulus, _rk4_step
     mu, eps, w, h = 0.05 + 0.02j, 0.0016 + 0.0005j, cmath.exp(-0.3j), 5e-3
     lanes = np.array([0.2 + 0.1j, -0.3 + 0.05j, 0.1 - 0.25j])
     scalars = lanes.tolist()
@@ -282,6 +346,112 @@ def test_classify_two_inner_components_at_eps_zero():
     n = count_components(pts, labels, REGION_INNER, 61, 61,
                          exclude=[rp.s1, -rp.s1], exclude_radius=0.045)
     assert n == 2
+
+
+def _old_rule_endpoints(points, w, rp, cfg):
+    """The region flow with only the fixed capture discs (1e3 CAPTURE_RADIUS
+    around hyperbolic attractors, parabolic_capture around parabolic ones)
+    over the full xi budget.  Also returns, per lane, the attractor of the
+    first certified disc or petal it entered (NaN if none) and whether that
+    entry came before the fixed-disc capture."""
+    mu, eps = rp.mu_value, rp.eps_value
+    targets = _attractors(equilibria(rp), w)
+    pos = np.array([e.s for e in targets])
+    cap = np.array([cfg.parabolic_capture if e.parabolic else 1e3 * CAPTURE_RADIUS
+                    for e in targets])
+    centres, radii, ends = _capture_discs(targets, w, mu, cfg)
+    s = points.astype(complex).copy()
+    end = np.full(len(s), np.nan, dtype=complex)
+    certified = np.full(len(s), np.nan, dtype=complex)
+    early = np.zeros(len(s), dtype=bool)
+    active = np.ones(len(s), dtype=bool)
+    for _ in range(int(cfg.xi_limit / CLASSIFY_STEP) + 1):
+        idx = np.flatnonzero(active)
+        v = s[idx] = _rk4_step(s[idx], w, mu, eps, CLASSIFY_STEP)
+        in_disc = np.abs(v[:, None] - centres[None, :]) < radii[None, :]
+        fresh = np.isnan(certified[idx]) & in_disc.any(axis=1)
+        certified[idx[fresh]] = ends[np.argmax(in_disc[fresh], axis=1)]
+        hit = np.abs(v[:, None] - pos[None, :]) < cap[None, :]
+        got = hit.any(axis=1)
+        early[idx[fresh & ~got]] = True
+        end[idx[got]] = pos[np.argmax(hit[got], axis=1)]
+        active[idx[got | ~_in_annulus(v, mu, eps, cfg)]] = False
+        if not active.any():
+            break
+    return end, certified, early
+
+
+def test_capture_discs_satisfy_their_bounds(rng):
+    """Sampled on its boundary circle, each certified disc keeps
+    |chi(s)/(s - s_i) - lambda_i| <= |Re(w lambda_i)| / (2 |w|) (hyperbolic)
+    or |chi(s)/d^2 - 1| <= 1/2 on |d| = r around the petal (parabolic), and
+    lies in the annulus."""
+    cfg = DomainConfig()
+    ring = np.exp(2j * np.pi * np.arange(256) / 256)
+    points = [random_generic_point(rng) for _ in range(20)]
+    points += [(0.04, 0.0), (0.03 - 0.02j, 0.0), (0.1, 0.01)]
+    checked = 0
+    for mu, eps in points:
+        rp = RamifiedPoint.from_values(mu, eps)
+        w = cmath.exp(1j * rng.uniform(-0.5, 0.5))
+        targets = _attractors(equilibria(rp), w)
+        centres, radii, ends = _capture_discs(targets, w, mu, cfg)
+        for c, r, e in zip(centres, radii, ends):
+            if c == e and (eps == 0 or r <= 1e3 * CAPTURE_RADIUS):
+                continue            # a fixed capture disc
+            eq = next(t for t in targets if t.s == e)
+            if eq.parabolic:
+                rim = e + 2.0 * r * ring
+                assert np.all(np.abs(chi(rim, mu, eps) / (rim - e) ** 2 - 1.0) <= 0.5)
+            else:
+                rim = e + r * ring
+                margin = abs((w * eq.multiplier).real) / (2.0 * abs(w))
+                assert np.all(np.abs(chi(rim, mu, eps) / (rim - e) - eq.multiplier) <= margin)
+            assert np.all(_in_annulus(rim, mu, eps, cfg))
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("mu, eps, omega, n", [
+    (0.05 + 0.02j, 0.0016 + 0.0005j, cmath.exp(-0.3j), 21),   # the golden portrait
+    (0.1, 0.01, 1.0, 41),                                     # criterion 9, mu^2 = eps
+    (0.04, 0.0, 1.0, 61),                                     # criterion 9, eps = 0
+])
+def test_certified_captures_reach_the_same_attractor(mu, eps, omega, n):
+    """Every lane that the region flow retires in a certified disc or petal,
+    stepped on under the fixed-disc rules over the full budget, reaches the
+    attractor that disc certifies; so the endpoints agree lane by lane."""
+    rp = RamifiedPoint.from_values(mu, eps)
+    cfg = DomainConfig()
+    xs = np.linspace(-cfg.delta_s, cfg.delta_s, n)
+    pts = (xs[None, :] + 1j * xs[:, None]).ravel()
+    pts = pts[_in_annulus(pts, mu, eps, cfg)]
+    retired_early = 0
+    for w in (omega, -omega):
+        end, certified, early = _old_rule_endpoints(pts, w, rp, cfg)
+        done = ~np.isnan(certified)
+        assert np.array_equal(end[done], certified[done])
+        assert np.array_equal(_flow_endpoints(pts, w, mu, eps, cfg, equilibria(rp)), end,
+                              equal_nan=True)
+        retired_early += int(early.sum())
+    assert retired_early > 0.2 * len(pts)
+
+
+def test_classify_work_on_golden_point(monkeypatch):
+    """Certified captures retire the golden portrait's 21^2 lanes within 1,500
+    array RK4 steps over both directions (2 x 2,375 with fixed discs only)."""
+    from resunfold import geometry
+    steps = []
+
+    def counted(s, *args):
+        if isinstance(s, np.ndarray):
+            steps.append(len(s))
+        return _rk4_step(s, *args)
+
+    monkeypatch.setattr(geometry, "_rk4_step", counted)
+    rp = RamifiedPoint.from_values(0.05 + 0.02j, 0.0016 + 0.0005j)
+    classify_regions(rp, cmath.exp(-0.3j), DomainConfig(), grid=(21, 21))
+    assert 0 < len(steps) <= 1500
 
 
 def test_classify_p_symmetry(rng):
