@@ -35,7 +35,6 @@ from .invariants import (
     FormalInvariants,
     InvariantMismatch,
     NonGeneric,
-    ReducedParams,
     ReducedSystem,
     RootOutsideUnitDisc,
     Step1Failure,
@@ -50,6 +49,7 @@ from .monodromy import (
     SingularityTooClose,
     StepUnderflow,
     Transport,
+    UnreliableGamma,
     gamma_closed_form,
     gamma_numeric,
     propagate,
@@ -83,7 +83,6 @@ from .normalization import (
     assemble_F,
     connecting_arc,
     connection_data,
-    connection_matrices,
     inner_arc_solutions,
     kappa_formulas,
     outer_arc_solutions,

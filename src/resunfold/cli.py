@@ -46,9 +46,8 @@ from .invariants import (
     RootOutsideUnitDisc,
     check_unit_disc,
     extract_formal,
-    reduce,
 )
-from .monodromy import SingularityTooClose, StepUnderflow, gamma_numeric
+from .monodromy import SingularityTooClose, StepUnderflow, UnreliableGamma, gamma_numeric
 from .normal_forms import (
     DegenerateDenominator,
     build_b_form,
@@ -77,14 +76,6 @@ EXIT_PARSE = 2
 EXIT_NON_GENERIC = 3
 EXIT_INDETERMINATE = 4
 EXIT_UNRELIABLE = 5
-
-# invariants refuses a gamma whose est_error exceeds this fraction of max(1, |gamma|)
-GAMMA_ERROR_MAX = 1e-3
-
-
-class UnreliableGamma(ArithmeticError):
-    """The transport's error bound on gamma is not small against gamma."""
-
 
 # the package's named errors a command reports with a one-line message;
 # any other exception is a bug and propagates
@@ -155,10 +146,7 @@ def _write_manifest(args, out_dir: str, outputs: list) -> None:
         "order": getattr(args, "order", None),
         "seed": getattr(args, "seed", None),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(_jsonable(manifest), fh, indent=1)
-        fh.write("\n")
+    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
 def _parse_complex(text: str) -> complex:
@@ -220,18 +208,16 @@ def _ensure_outdir(args) -> str:
 def cmd_invariants(args) -> int:
     system = _load_germ(args.system)
     F = extract_formal(system)
-    params, _ = reduce(system, F)
+    F.require_generic()
     res = gamma_numeric(system, F, tol=args.gamma_tol,
                         validity_radius=args.validity_radius)
-    if not res.est_error <= GAMMA_ERROR_MAX * max(1.0, abs(res.gamma)):
-        raise UnreliableGamma(f"gamma = {res.gamma:.6g} has est_error = {res.est_error:.3g}, "
-                              f"above {GAMMA_ERROR_MAX:g} * max(1, |gamma|)")
+    res.require_reliable()
     payload = {
         "h": [F.h0, F.h1],
         "lambda": [F.lambda0, F.lambda1],
         "alpha": [F.alpha0, F.alpha1],
-        "epsilon": params.epsilon,
-        "mu": params.mu,
+        "epsilon": F.epsilon,
+        "mu": F.mu,
         "gamma": res.gamma,
         "est_error": res.est_error,
     }

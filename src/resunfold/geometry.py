@@ -54,16 +54,14 @@ class RamifiedPoint:
     log_b: complex = 0.0
 
     @classmethod
-    def from_values(cls, mu: complex, eps: complex,
-                    mu_turns: int = 0, eps_turns: int = 0) -> "RamifiedPoint":
+    def from_values(cls, mu: complex, eps: complex) -> "RamifiedPoint":
         """Base-sheet construction (principal branches throughout).
 
         For mu, eps real positive with mu^2 > eps this gives the standard
-        square roots.  Extra ``turns`` rotate the starting sheet of the
-        respective parameter before anything is derived.
+        square roots.  Other sheets are reached by sigma_image and rho_image.
         """
-        mu_b = BranchedLog.from_complex(mu, mu_turns)
-        eps_b = BranchedLog.from_complex(eps, eps_turns)
+        mu_b = BranchedLog.from_complex(mu)
+        eps_b = BranchedLog.from_complex(eps)
         if eps_b.modulus == 0.0:
             se = 0.0 + 0.0j
             s1 = cmath.sqrt(mu)
@@ -190,6 +188,9 @@ class DomainConfig:
 # theta
 
 
+CUT_TOL = 1e-9   # theta raises OnCut within this distance of a cut segment
+
+
 def _dist_to_segment(s: complex, end: complex) -> float:
     """Distance from s to the straight segment [0, end]."""
     L2 = (end.real ** 2 + end.imag ** 2)
@@ -201,7 +202,7 @@ def _dist_to_segment(s: complex, end: complex) -> float:
 
 
 def theta(s: complex, mu: complex, eps: complex,
-          branch: RamifiedPoint | None = None, cut_tol: float = 1e-9) -> complex:
+          branch: RamifiedPoint | None = None) -> complex:
     """Antiderivative of 2 s^2 / ((s^2 - mu)^2 - eps) vanishing at infinity.
 
     Closed-form case split (generic / eps = 0 / mu^2 = eps / both zero)
@@ -219,25 +220,25 @@ def theta(s: complex, mu: complex, eps: complex,
     if generic:
         s1, s2, se = branch.s1, branch.s2, branch.sqrt_eps
         for root in (s1, -s1, s2, -s2):
-            if _dist_to_segment(s, root) < cut_tol:
+            if _dist_to_segment(s, root) < CUT_TOL:
                 raise OnCut(f"s = {s} lies on a cut segment")
         t1 = (s1 / (2.0 * se)) * cmath.log((s - s1) / (s + s1))
         t2 = (s2 / (2.0 * se)) * cmath.log((s - s2) / (s + s2))
         return t1 - t2
     if abs(eps) <= 1e-13 * scale and abs(mu) <= 1e-13 * math.sqrt(scale):
-        if abs(s) < cut_tol:
+        if abs(s) < CUT_TOL:
             raise OnCut("s = 0 is the degenerate cut")
         return -2.0 / s
     if abs(eps) <= 1e-13 * scale:
         sm = cmath.sqrt(mu)
         for root in (sm, -sm):
-            if _dist_to_segment(s, root) < cut_tol:
+            if _dist_to_segment(s, root) < CUT_TOL:
                 raise OnCut(f"s = {s} lies on a cut segment")
         return -s / (s * s - mu) - cmath.log((s + sm) / (s - sm)) / (2.0 * sm)
     # mu^2 = eps: the double-root case; sign fixed by the generic limit
     sr = cmath.sqrt(2.0 * mu)
     for root in (sr, -sr):
-        if _dist_to_segment(s, root) < cut_tol:
+        if _dist_to_segment(s, root) < CUT_TOL:
             raise OnCut(f"s = {s} lies on a cut segment")
     return cmath.log((s - sr) / (s + sr)) / sr
 

@@ -30,6 +30,10 @@ class RootOutsideUnitDisc(ValueError):
     division of extract_formal amplifies rounding by up to |root|^(K-1)."""
 
 
+ALPHA1_MIN = 1e-8      # the genericity condition alpha1 != 0 asks |alpha1| > ALPHA1_MIN
+_PRENORMAL_TOL = 1e-8  # relative tolerance of the prenormal form's invariant checks
+
+
 @dataclass(frozen=True)
 class FormalInvariants:
     """h, lambda, alpha as coefficient pairs; lambda(z) = l1 z + l0 etc."""
@@ -51,6 +55,12 @@ class FormalInvariants:
         """alpha0/alpha1^2 - h1/(2 alpha1), the reduced linear parameter."""
         return self.alpha0 / self.alpha1**2 - self.h1 / (2.0 * self.alpha1)
 
+    def require_generic(self) -> None:
+        """Raise NonGeneric unless |alpha1| > ALPHA1_MIN, the one genericity
+        test behind reduce, decide_equivalence and the CLI."""
+        if abs(self.alpha1) <= ALPHA1_MIN:
+            raise NonGeneric(f"|alpha1| = {abs(self.alpha1):.3e} below tolerance")
+
     def gaps(self, other: "FormalInvariants") -> dict:
         """|self - other| per coefficient, keyed h0, h1, lambda0, lambda1, alpha0, alpha1."""
         return {f.name: abs(getattr(self, f.name) - getattr(other, f.name))
@@ -58,13 +68,6 @@ class FormalInvariants:
 
     def close_to(self, other: "FormalInvariants", tol: float) -> bool:
         return all(gap < tol for gap in self.gaps(other).values())
-
-
-@dataclass(frozen=True)
-class ReducedParams:
-    epsilon: complex
-    mu: complex
-    alpha1: complex
 
 
 @dataclass(frozen=True)
@@ -112,32 +115,29 @@ def check_unit_disc(system: ParametricSystem) -> None:
                                   f"where the division by h is stable")
 
 
-def reduce(system: ParametricSystem, F: FormalInvariants | None = None,
-           tol: float = 1e-8):
+def reduce(system: ParametricSystem, F: FormalInvariants | None = None):
     """Reduction to the centered x coordinate.
 
     Substitutes x = (z + h1/2)/alpha1 and removes the trace part, giving a
     system (x^2 - eps) d/dx - (A - lambda I)/alpha1 with formal invariants
-    (x^2 - eps, 0, mu + x).  Returns (ReducedParams, reduced system).
+    (x^2 - eps, 0, mu + x).  Returns (F, reduced system), F being the
+    invariants used (extracted when not given); eps and mu are F.epsilon
+    and F.mu.
     """
     if F is None:
         F = extract_formal(system)
-    if abs(F.alpha1) <= tol:
-        raise NonGeneric(f"|alpha1| = {abs(F.alpha1):.3e} below tolerance")
-    eps = F.epsilon
-    mu = F.mu
+    F.require_generic()
     shifted = system.A - CSeries([F.lambda0, F.lambda1], system.order)
     # z = alpha1 * x - h1/2
     a_red = shifted.affine_substitute(-F.h1 / 2.0, F.alpha1).scale(1.0 / F.alpha1)
-    reduced = ParametricSystem(-eps, 0.0, a_red)
-    return ReducedParams(eps, mu, F.alpha1), reduced
+    return F, ParametricSystem(-F.epsilon, 0.0, a_red)
 
 
-def _divide_by_h(series: CSeries, eps: complex, tol: float, what: str) -> CSeries:
+def _divide_by_h(series: CSeries, eps: complex, what: str) -> CSeries:
     """Exact series division by x^2 - eps after checking divisibility."""
     q, (r0, r1) = series.divmod_quadratic(-eps, 0.0)
     scale = max(1.0, series.max_abs())
-    if max(abs(r0), abs(r1)) > tol * scale:
+    if max(abs(r0), abs(r1)) > _PRENORMAL_TOL * scale:
         raise InvariantMismatch(
             f"{what} is not divisible by x^2 - eps "
             f"(remainder {max(abs(r0), abs(r1)):.3e})")
@@ -184,7 +184,7 @@ def _cyclic_steps(system: ParametricSystem):
     return a, T
 
 
-def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
+def prenormalize(system: ParametricSystem) -> ReducedSystem:
     """Four-step prenormal form of a reduced system.
 
     Input must already have h = x^2 - eps and formal invariants
@@ -203,9 +203,9 @@ def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
     eps = -system.h0
     F = extract_formal(system)
     scale = max(1.0, system.A.max_abs())
-    if max(abs(F.lambda0), abs(F.lambda1)) > tol * scale:
+    if max(abs(F.lambda0), abs(F.lambda1)) > _PRENORMAL_TOL * scale:
         raise InvariantMismatch("reduced system must have lambda = 0")
-    if abs(F.alpha1 - 1.0) > tol * scale:
+    if abs(F.alpha1 - 1.0) > _PRENORMAL_TOL * scale:
         raise InvariantMismatch("reduced system must have alpha = mu + x")
     mu = F.alpha0
     n = system.order
@@ -235,9 +235,9 @@ def prenormalize(system: ParametricSystem, tol: float = 1e-8) -> ReducedSystem:
     c_series = b21 + beta * beta - h * beta.deriv()
     # the step-4 factor exp(int g/2) only removes the diagonal; it does not
     # touch c.  g = b22/(x^2-eps) must exist by the invariant hypothesis.
-    _divide_by_h(b22, eps, max(tol, 1e-9), "b22")
+    _divide_by_h(b22, eps, "b22")
     numer = c_series - CSeries([mu, 1.0], n)
-    r = _divide_by_h(numer, eps, max(tol, 1e-9), "A_21 - (mu + x)")
+    r = _divide_by_h(numer, eps, "A_21 - (mu + x)")
     return ReducedSystem(eps, mu, r)
 
 

@@ -29,6 +29,14 @@ class StepUnderflow(RuntimeError):
     the transport or its error bound overflowed."""
 
 
+class UnreliableGamma(ArithmeticError):
+    """The transport's error bound on gamma is not small against gamma."""
+
+
+# a gamma counts as computed when est_error <= GAMMA_ERROR_MAX * max(1, |gamma|)
+GAMMA_ERROR_MAX = 1e-3
+
+
 @dataclass(frozen=True)
 class Contour:
     """Arclength-parameterized integration path.
@@ -98,6 +106,14 @@ class MonodromyResult:
     est_error: float
     steps: int
     det_defect: float
+
+    def require_reliable(self) -> None:
+        """Raise UnreliableGamma unless est_error <= GAMMA_ERROR_MAX * max(1, |gamma|),
+        the one acceptance rule of the invariants and equiv commands."""
+        if not self.est_error <= GAMMA_ERROR_MAX * max(1.0, abs(self.gamma)):
+            raise UnreliableGamma(f"gamma = {self.gamma:.6g} has est_error = "
+                                  f"{self.est_error:.3g}, above {GAMMA_ERROR_MAX:g} "
+                                  f"* max(1, |gamma|)")
 
 
 @dataclass(frozen=True)
@@ -354,7 +370,9 @@ def gamma_numeric(system: ParametricSystem, F: FormalInvariants | None = None,
     phase = cmath.exp(-2j * math.pi * F.lambda1)
     gamma = phase * (M[0, 0] + M[1, 1])
     bound = abs(phase) * (tr.trace_error + 2.0 * _U * (abs(M[0, 0]) + abs(M[1, 1])))
-    det_defect = abs(np.linalg.det(M) - cmath.exp(4j * math.pi * F.lambda1))
+    # an overflowed M reads inf or NaN here, which require_reliable refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_defect = abs(np.linalg.det(M) - cmath.exp(4j * math.pi * F.lambda1))
     liouville = 2.0 * abs(phase) * det_defect / max(1.0, float(_norm(M)))
     return MonodromyResult(M, gamma, max(bound, liouville), tr.steps, det_defect)
 

@@ -8,7 +8,7 @@ import cmath
 import math
 
 from .algebra import CSeries, CSeriesMat2
-from .invariants import FormalInvariants, NonGeneric, extract_formal
+from .invariants import FormalInvariants, extract_formal
 from .monodromy import gamma_numeric
 from .system import ParametricSystem
 
@@ -84,12 +84,13 @@ def decide_equivalence(system_a: ParametricSystem, system_b: ParametricSystem,
     and the gamma gap is below max(tol, combined est_error); Indeterminate
     when the gamma gap falls inside the integration error band
     (err, 10*err); NotEquivalent otherwise.  Returns (verdict, report).
+    Raises NonGeneric for a non-generic system and UnreliableGamma for a
+    gamma whose error bound is not small against it.
     """
     Fa = extract_formal(system_a)
     Fb = extract_formal(system_b)
-    for F in (Fa, Fb):
-        if abs(F.alpha1) <= 1e-8:
-            raise NonGeneric("system fails the genericity condition alpha1 != 0")
+    Fa.require_generic()
+    Fb.require_generic()
     formal_gaps = Fa.gaps(Fb)
     report = {"formal_gaps": formal_gaps}
     if max(formal_gaps.values()) >= tol:
@@ -98,6 +99,8 @@ def decide_equivalence(system_a: ParametricSystem, system_b: ParametricSystem,
 
     ga = gamma_numeric(system_a, Fa, tol=gamma_tol, validity_radius=validity_radius)
     gb = gamma_numeric(system_b, Fb, tol=gamma_tol, validity_radius=validity_radius)
+    ga.require_reliable()
+    gb.require_reliable()
     gap = abs(ga.gamma - gb.gamma)
     err = ga.est_error + gb.est_error + 1e-15
     report.update({

@@ -29,7 +29,6 @@ from .geometry import (
     classify_regions,
     trace_trajectory,
 )
-from .normal_forms import q_from_gamma
 
 
 class ContractionViolated(RuntimeError):
@@ -46,6 +45,10 @@ class GammaPole(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # Picard solver for the bounded off-diagonal entries
+
+
+PICARD_MAX_SWEEPS = 80     # solve_p stops after this many sweeps
+PICARD_RATIO_BOUND = 0.75  # ... and raises ContractionViolated on a slower sweep
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,7 @@ def _backward_recurrence(log_E: complex, n: int):
     return solve
 
 
-def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
-            max_sweeps: int = 80, ratio_bound: float = 0.75) -> PSolution:
+def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12) -> PSolution:
     """Picard iteration for the bounded solution with p(s_i) = 0.
 
     The operator is evaluated on the trajectory's uniform xi grid by
@@ -120,7 +122,7 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
 
     using the semigroup property of the flow, so one trajectory serves all
     of its points.  Raises ContractionViolated when a sweep contracts
-    slower than ``ratio_bound``.
+    slower than PICARD_RATIO_BOUND.
     """
     if traj.terminal != "converged":
         raise ValueError("trajectory must converge to an equilibrium")
@@ -150,7 +152,7 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
 
     p = np.zeros_like(s)
     history: list[float] = []
-    for sweep in range(max_sweeps):
+    for sweep in range(PICARD_MAX_SWEEPS):
         G = chi_vals * ((1.0 - p * p) * inv2s + (1.0 + p) ** 2 * r_vals)
         # H_j = e^{-w dxi} H_{j+1} + (w_here G_j + w_next G_{j+1})
         c = w_here * G
@@ -161,9 +163,9 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12,
         history.append(delta)
         if sweep >= 1 and history[-2] > 1e-14:
             ratio = delta / history[-2]
-            if ratio > ratio_bound:
+            if ratio > PICARD_RATIO_BOUND:
                 raise ContractionViolated(
-                    f"Picard sweep contracted by {ratio:.3f} > {ratio_bound}")
+                    f"Picard sweep contracted by {ratio:.3f} > {PICARD_RATIO_BOUND}")
         p = p_new
         if delta < tol:
             break
@@ -409,14 +411,15 @@ def kappa_formulas(rp: RamifiedPoint, Q: complex):
     l1, l2, la, lb = rp.log_n1, rp.log_n2, rp.log_a, rp.log_b
     n1, n2, a, b = rp.n1, rp.n2, rp.a, rp.b
     log_2pi = math.log(2.0 * math.pi)
-    log_kI = (0.5 * (l1 + l2) + _lg(n1) + _lg(n2)
-              - _lg(1.0 + b - Q) - _lg(b + Q)
+    # the seven distinct Gamma arguments, each evaluated once
+    g_n1, g_n2, g_1n1 = _lg(n1), _lg(n2), _lg(1.0 + n1)
+    g_1bQ, g_bQ = _lg(1.0 + b - Q), _lg(b + Q)
+    g_1aQ, g_aQ = _lg(1.0 + a - Q), _lg(a + Q)
+    log_kI = (0.5 * (l1 + l2) + g_n1 + g_n2 - g_1bQ - g_bQ
               + 2.0 * b * lb - n1 * l1 - n2 * l2)
-    log_kO = (log_2pi + _lg(n1) + _lg(1.0 + n1)
-              - _lg(1.0 + a - Q) - _lg(1.0 + b - Q) - _lg(a + Q) - _lg(b + Q)
+    log_kO = (log_2pi + g_n1 + g_1n1 - g_1aQ - g_1bQ - g_aQ - g_bQ
               + 2.0 * a * la + 2.0 * b * lb - 2.0 * n1 * l1)
-    log_k = (log_2pi + 0.5 * (l1 - l2) + _lg(n1) - _lg(n2)
-             - _lg(1.0 + a - Q) - _lg(a + Q)
+    log_k = (log_2pi + 0.5 * (l1 - l2) + g_n1 - g_n2 - g_1aQ - g_aQ
              + 2.0 * a * la - n1 * l1 + n2 * l2)
     return cmath.exp(log_kI), cmath.exp(log_kO), cmath.exp(log_k)
 
@@ -475,45 +478,26 @@ class ConnectionData:
         }
 
 
-def c_matrices(a: complex, kappa: complex, gamma: complex):
-    """The five connection matrices as functions of (a, kappa, gamma)."""
+def connection_data(rp: RamifiedPoint, Q: complex) -> ConnectionData:
+    """The connection bundle at a ramified point for gamma = 2 cos 2 pi Q:
+    kappa_formulas(rp, Q), the matrices C0..C4 in (a, kappa, gamma) and the
+    formal monodromies N = N1 N2."""
+    gamma = 2.0 * cmath.cos(2.0 * math.pi * Q)
+    kI, kO, k = kappa_formulas(rp, Q)
+    a = rp.a
     ea = cmath.exp(2j * math.pi * a)
     ea_inv = cmath.exp(-2j * math.pi * a)
-    kinv = 1.0 / kappa
+    kinv = 1.0 / k
     C0 = np.array([[1.0, 1j * gamma], [0.0, 1.0]])
     C1 = np.array([[1.0, 1j * kinv * (gamma - ea - ea_inv)], [0.0, 1.0]])
-    C2 = np.array([[1.0, 0.0], [-1j * kappa * ea, 1.0]])
+    C2 = np.array([[1.0, 0.0], [-1j * k * ea, 1.0]])
     C3 = np.array([[1.0, 1j * kinv * ea_inv], [0.0, kinv]])
     C4 = np.array([[1.0, -1j * kinv * ea], [0.0, kinv]])
-    return C0, C1, C2, C3, C4
-
-
-def connection_matrices(rp: RamifiedPoint, kappa: complex, gamma: complex):
-    """C0..C4, N1, N2, N at a ramified point with given kappa and gamma."""
-    a = rp.a
-    C0, C1, C2, C3, C4 = c_matrices(a, kappa, gamma)
-    if rp.eps.modulus > 0.0:
-        n1, n2 = rp.n1, rp.n2
-        N1 = np.diag([cmath.exp(1j * math.pi * n1), cmath.exp(-1j * math.pi * n1)])
-        N2 = np.diag([cmath.exp(-1j * math.pi * n2), cmath.exp(1j * math.pi * n2)])
-    else:
-        N1 = N2 = np.eye(2, dtype=complex)
-    N = np.diag([cmath.exp(2j * math.pi * a), cmath.exp(-2j * math.pi * a)])
-    return (C0, C1, C2, C3, C4), (N, N1, N2)
-
-
-def connection_data(rp: RamifiedPoint, gamma: complex | None = None,
-                    Q: complex | None = None) -> ConnectionData:
-    """Full connection bundle from a ramified point and gamma (or Q)."""
-    if Q is None:
-        if gamma is None:
-            raise ValueError("need gamma or Q")
-        Q = q_from_gamma(gamma)
-    if gamma is None:
-        gamma = 2.0 * cmath.cos(2.0 * math.pi * Q)
-    kI, kO, k = kappa_formulas(rp, Q)
-    (C0, C1, C2, C3, C4), (N, N1, N2) = connection_matrices(rp, k, gamma)
-    return ConnectionData(rp, rp.a, rp.b, Q,
+    n1, n2 = rp.n1, rp.n2
+    N1 = np.diag([cmath.exp(1j * math.pi * n1), cmath.exp(-1j * math.pi * n1)])
+    N2 = np.diag([cmath.exp(-1j * math.pi * n2), cmath.exp(1j * math.pi * n2)])
+    N = np.diag([ea, ea_inv])
+    return ConnectionData(rp, a, rp.b, Q,
                           gamma, kI, kO, k, C0, C1, C2, C3, C4, N, N1, N2)
 
 
@@ -538,11 +522,11 @@ def verify_cocycles(rp_bar: RamifiedPoint, Q: complex) -> dict:
         = gamma (the rho cocycle),
       * the internal connection-matrix identities.
     """
-    gamma = 2.0 * cmath.cos(2.0 * math.pi * Q)
     rp_sigma = rp_bar.sigma_image()
     rp_rho = rp_bar.rho_image()
 
-    kI_b, kO_b, k_b = kappa_formulas(rp_bar, Q)
+    data = connection_data(rp_bar, Q)
+    gamma, kI_b, kO_b, k_b = data.gamma, data.kappa_I, data.kappa_O, data.kappa
     kI_s, kO_s, k_s = kappa_formulas(rp_sigma, Q)
     kI_r, kO_r, k_r = kappa_formulas(rp_rho, Q)
 
@@ -554,14 +538,12 @@ def verify_cocycles(rp_bar: RamifiedPoint, Q: complex) -> dict:
     kk_term = k_b * k_r * e_a
     eq12_scale = max(1.0, abs(cos_term), abs(kk_term))
 
-    data = connection_data(rp_bar, gamma=gamma, Q=Q)
     res = data.residuals()
     res.update({
         "eq11": _rel(kO_b, eq11_rhs),
         "eq11_sigma_invariance": _rel(kO_b, kO_s),
         "eq11b": _rel(kI_b, kI_r),
         "eq12": abs(cos_term - kk_term - gamma) / eq12_scale,
-        "gamma_q": _rel(gamma, 2.0 * cmath.cos(2.0 * math.pi * Q)),
         "sigma_fixes_s1": abs(rp_sigma.s1 - rp_bar.s1),
         "sigma_flips_s2": abs(rp_sigma.s2 + rp_bar.s2),
         "rho_flips_a": abs(rp_rho.a + a_bar),
@@ -569,9 +551,12 @@ def verify_cocycles(rp_bar: RamifiedPoint, Q: complex) -> dict:
     return res
 
 
+KAPPA_Q_ABS = 0.3     # batch_verify draws Q from the square |Re Q|, |Im Q| <= KAPPA_Q_ABS
+KAPPA_MIN_SEP = 0.15  # ... and (mu, eps) with |mu^2 - eps| >= KAPPA_MIN_SEP max(|mu|^2, |eps|)
+
+
 def batch_verify(n_samples: int, seed: int = 0, mu_abs: float = 0.1,
-                 eps_abs_range: tuple[float, float] = (1e-4, 1e-2),
-                 q_abs: float = 0.3, min_sep: float = 0.15) -> dict:
+                 eps_abs_range: tuple[float, float] = (1e-4, 1e-2)) -> dict:
     """Cocycle residuals over random ramified samples.
 
     Samples stay away from the ramification locus (|mu^2 - eps| bounded
@@ -588,9 +573,9 @@ def batch_verify(n_samples: int, seed: int = 0, mu_abs: float = 0.1,
         eps_mod = math.exp(rng.uniform(math.log(eps_abs_range[0]),
                                        math.log(eps_abs_range[1])))
         eps = eps_mod * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        if abs(mu * mu - eps) < min_sep * max(abs(mu) ** 2, abs(eps)):
+        if abs(mu * mu - eps) < KAPPA_MIN_SEP * max(abs(mu) ** 2, abs(eps)):
             continue
-        Q = q_abs * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+        Q = KAPPA_Q_ABS * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
         rp = RamifiedPoint.from_values(mu, eps)
         try:
             rows.append(verify_cocycles(rp, Q))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -409,16 +410,16 @@ def test_root_outside_unit_disc_exit_parse(tmp_path, capsys):
     assert abs(complex(*data["gamma"]) - 9.785153136957) < 1e-9 + data["est_error"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
 def test_invariants_refuses_unreliable_gamma(tmp_path, capsys):
-    """invariants exits 5 when est_error is not small against max(1, |gamma|),
-    and writes nothing; the library call still returns the raw result.
+    """invariants and equiv share one rule: they exit 5 when est_error is
+    not small against max(1, |gamma|), with a one-line error, no numpy
+    warning and no output; the library call still returns the raw result.
 
     A = diag(120 z^2, -120 z^2) + [[0, 1], [0, 0]] with h = z^2 + 0.01 has
     gamma_numeric = 1.99996 + 5.6e-5 i with est_error = 4.8e195, but alpha1 = 0,
-    so invariants stops at NonGeneric (exit 3) before any transport.  With
+    so both commands stop at NonGeneric (exit 3) before any transport.  With
     A_21 = z (alpha1 = 1) the transport overflows the same way and
-    est_error reads inf."""
+    est_error reads inf; equiv compares the system with itself."""
     from resunfold.algebra import CSeries
     from resunfold.cli import EXIT_CODES, EXIT_UNRELIABLE, UnreliableGamma
     K = 24
@@ -429,8 +430,11 @@ def test_invariants_refuses_unreliable_gamma(tmp_path, capsys):
         system = ParametricSystem(0.01, 0.0, A)
         res = gamma_numeric(system)
         assert not res.est_error <= 1e-3 * max(1.0, abs(res.gamma))
-        assert main(["--out", str(out), "invariants",
-                     write_system(system, tmp_path / "u.json")]) == code
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
-        assert not out.exists()
+        p = write_system(system, tmp_path / "u.json")
+        for command, files in (("invariants", [p]), ("equiv", [p, p])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["--out", str(out), command, *files]) == code
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
+            assert not out.exists()
     assert EXIT_CODES[UnreliableGamma] == EXIT_UNRELIABLE == 5

@@ -61,8 +61,8 @@ def test_reduce_trivial():
     K = 16
     A = CSeriesMat2(CSeries.zero(K), CSeries.one(K),
                     CSeries([0.0, 1.0], K), CSeries.zero(K))
-    params, red = reduce(ParametricSystem(0.0, 0.0, A))
-    assert abs(params.epsilon) < 1e-14 and abs(params.mu) < 1e-14
+    F, red = reduce(ParametricSystem(0.0, 0.0, A))
+    assert abs(F.epsilon) < 1e-14 and abs(F.mu) < 1e-14
 
 
 def test_reduce_shifted_h():
@@ -70,35 +70,50 @@ def test_reduce_shifted_h():
     K = 16
     A = CSeriesMat2(CSeries.zero(K), CSeries.one(K),
                     CSeries([0.0, 1.0], K), CSeries.zero(K))
-    params, _ = reduce(ParametricSystem(-1.0, 0.0, A))
-    assert abs(params.epsilon - 1.0) < 1e-14 and abs(params.mu) < 1e-14
+    F, _ = reduce(ParametricSystem(-1.0, 0.0, A))
+    assert abs(F.epsilon - 1.0) < 1e-14 and abs(F.mu) < 1e-14
 
 
 def test_reduce_h_identity(rng):
     """h(z) == alpha1^2 (x^2 - eps) under the substitution, coefficientwise."""
     for _ in range(10):
-        s = random_system(rng)
-        F = extract_formal(s)
-        params, _ = reduce(s, F)
+        F, _ = reduce(random_system(rng))
         # h(z) = alpha1^2 (x^2 - eps), x = (z + h1/2)/alpha1: compare coefficients
-        a1 = params.alpha1
+        a1 = F.alpha1
         c2 = a1 * a1 / a1 ** 2
         c1 = F.h1
-        c0 = (F.h1 / 2.0) ** 2 - a1 * a1 * params.epsilon
+        c0 = (F.h1 / 2.0) ** 2 - a1 * a1 * F.epsilon
         assert abs(c0 - F.h0) < 1e-12 * max(1.0, abs(F.h0))
 
 
 def test_reduce_recomputation_oracle(rng):
     for _ in range(10):
-        s = random_system(rng)
-        F = extract_formal(s)
-        params, red = reduce(s, F)
+        F, red = reduce(random_system(rng))
         G = extract_formal(red)
-        assert abs(-red.h0 - params.epsilon) < 1e-12
+        assert abs(-red.h0 - F.epsilon) < 1e-12
         assert abs(red.h1) < 1e-14
         assert max(abs(G.lambda0), abs(G.lambda1)) < 1e-9
-        assert abs(G.alpha0 - params.mu) < 1e-9
+        assert abs(G.alpha0 - F.mu) < 1e-9
         assert abs(G.alpha1 - 1.0) < 1e-9
+
+
+def test_reduce_returns_the_invariants_it_used(rng):
+    s = random_system(rng)
+    F, _ = reduce(s)
+    assert F == extract_formal(s)
+    assert reduce(s, F)[0] is F
+
+
+def test_require_generic_threshold():
+    """|alpha1| <= 1e-8 is non-generic, the one test reduce,
+    decide_equivalence and the invariants command share."""
+    for alpha1, generic in ((0.0, False), (1e-8, False), (-1e-8j, False), (1.01e-8, True)):
+        F = FormalInvariants(0.01, 0.0, 0.0, 0.0, 0.3, alpha1)
+        if generic:
+            F.require_generic()
+        else:
+            with pytest.raises(NonGeneric):
+                F.require_generic()
 
 
 def test_reduce_nongeneric(rng):

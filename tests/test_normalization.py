@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from resunfold import normalization
 from resunfold.algebra import CSeries
 from resunfold.geometry import DomainConfig, RamifiedPoint, trace_trajectory
 from resunfold.normalization import (
@@ -307,7 +308,7 @@ def test_kappa_pole_raises():
 
 def test_connection_matrix_shapes(rng):
     rp = RamifiedPoint.from_values(0.03 + 0.02j, 0.002 - 0.001j)
-    data = connection_data(rp, gamma=2.0 * cmath.cos(2 * math.pi * (0.1 - 0.05j)))
+    data = connection_data(rp, 0.1 - 0.05j)
     for C in (data.C0, data.C1):
         assert C[1, 0] == 0.0 and C[0, 0] == 1.0 and C[1, 1] == 1.0
     assert data.C2[0, 1] == 0.0
@@ -320,11 +321,43 @@ def test_connection_matrix_shapes(rng):
 
 def test_n1_p_conjugation_is_inverse():
     rp = RamifiedPoint.from_values(0.03, 0.001)
-    data = connection_data(rp, gamma=1.0)
+    data = connection_data(rp, 1.0 / 6.0)  # gamma = 1
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     for N in (data.N1, data.N2):
         assert np.max(np.abs(P @ N @ P - np.linalg.inv(N))) < 1e-12 * \
             float(np.max(np.abs(N)))
+
+
+def test_connection_data_carries_kappa_formulas():
+    rp = RamifiedPoint.from_values(0.03 + 0.02j, 0.002 - 0.001j)
+    Q = 0.12 - 0.07j
+    data = connection_data(rp, Q)
+    assert (data.kappa_I, data.kappa_O, data.kappa) == kappa_formulas(rp, Q)
+    assert data.Q == Q and data.gamma == 2.0 * cmath.cos(2.0 * math.pi * Q)
+    assert (data.a, data.b) == (rp.a, rp.b)
+
+
+def _counting(monkeypatch, name):
+    """Replace normalization.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(normalization, name)
+    monkeypatch.setattr(normalization, name, lambda *a: calls.append(a) or inner(*a))
+    return calls
+
+
+def test_kappa_formulas_evaluates_each_gamma_argument_once(monkeypatch):
+    """kappa_I, kappa_O and kappa share seven distinct Gamma arguments."""
+    calls = _counting(monkeypatch, "log_gamma")
+    kappa_formulas(RamifiedPoint.from_values(0.03 + 0.02j, 0.002 - 0.001j), 0.12 - 0.07j)
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
+
+
+def test_verify_cocycles_evaluates_kappa_once_per_point(monkeypatch):
+    """One kappa_formulas call each at the base point and its sigma and rho images."""
+    calls = _counting(monkeypatch, "kappa_formulas")
+    verify_cocycles(RamifiedPoint.from_values(0.03 + 0.02j, 0.002 - 0.001j), 0.12 - 0.07j)
+    assert len(calls) == 3
 
 
 def test_verify_cocycles_single_point():
