@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import binomials, pascal_shift, trim
+from .algebra import binomials, trim
 from .invariants import FormalInvariants, extract_formal
 from .system import ParametricSystem
 
@@ -99,13 +99,15 @@ class Contour:
 @dataclass(frozen=True)
 class MonodromyResult:
     """gamma and its error bound, the transport M, the number of Taylor
-    steps, and the Liouville self-check |det M - exp(4 pi i lambda1)|."""
+    steps, the Liouville self-check |det M - exp(4 pi i lambda1)|, and the
+    number of series terms of each step."""
 
     M: np.ndarray
     gamma: complex
     est_error: float
     steps: int
     det_defect: float
+    terms: tuple
 
     def require_reliable(self) -> None:
         """Raise UnreliableGamma unless est_error <= GAMMA_ERROR_MAX * max(1, |gamma|),
@@ -119,12 +121,14 @@ class MonodromyResult:
 @dataclass(frozen=True)
 class Transport:
     """Transport matrix M with first-order bounds on the infinity norm of
-    its error (``error``) and on the error of its trace (``trace_error``)."""
+    its error (``error``) and on the error of its trace (``trace_error``),
+    the number of Taylor steps and the number of series terms of each."""
 
     M: np.ndarray
     error: float
     trace_error: float
     steps: int
+    terms: tuple
 
 
 _U = 2.0 ** -53     # unit roundoff
@@ -132,6 +136,8 @@ _TAIL = 1e-5        # a local series stops once its tail bound is below _TAIL * 
 _MAX_TERMS = 600    # ... or fails with StepUnderflow after this many terms
 _MAX_STEPS = 1000   # a contour fails with StepUnderflow after this many steps
 _BATCH = 4          # terms generated between two convergence checks
+_CHUNK = 16         # terms per block of recurrence coefficients (and of growth of Y)
+_LANES = 32         # steps planned, then summed together, as one block
 _PANELS = 8         # Riemann panels bounding the integral of |A| / |h| on a step
 # a step shorter than half the root distance keeps that integral, the log of
 # the local Gronwall factor, below this (and exp from overflowing)
@@ -143,82 +149,210 @@ def _norm(m):
     return np.abs(m).sum(axis=-1).max(axis=-1)
 
 
-def _log_growth(beta: np.ndarray, r: float, ra: float, rb: float) -> float:
-    """Upper Riemann sum of int_0^r |A(c+s)| / |h(c+s)| d|s| on a segment
-    from c: ``beta`` holds the norms of the coefficients of A(c+s) and the
-    integrand increases with |s|."""
-    taus = r * np.arange(1, _PANELS + 1) / _PANELS
-    g = np.polyval(beta[::-1], taus) / ((ra - taus) * (rb - taus))
-    return r / _PANELS * float(g.sum())
+def _log_growth(beta: np.ndarray, r: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Upper Riemann sums of int_0^r |A(c+s)| / |h(c+s)| d|s| on segments
+    from centres c, one per row: ``beta[j]`` holds the norms of the
+    coefficients of A(c_j+s), ``r``, ``ra``, ``rb`` hold the segment length
+    and the root distances of each row, and the integrand increases with |s|."""
+    taus = r[:, None] * np.arange(1, _PANELS + 1) / _PANELS
+    g = np.zeros_like(taus)
+    for b in beta.T[::-1]:                      # Horner, as np.polyval
+        g = g * taus + b[:, None]
+    g = g / ((ra[:, None] - taus) * (rb[:, None] - taus))
+    return r / _PANELS * g.sum(axis=1)
 
 
-def _taylor_step(B: np.ndarray, H0: complex, H1: complex, delta: complex,
-                 ra: float, rb: float, tail: float):
-    """Y(delta) for h(c+s) Y' = A(c+s) Y, Y(0) = I, from its Taylor series.
+def _shifted(stack: np.ndarray, centres, binom: np.ndarray) -> np.ndarray:
+    """Coefficients of A(c + s) for every centre c, shape
+    (len(centres),) + stack.shape: ``algebra.pascal_shift(stack, c,
+    binom=binom)`` as one batched product, equal to it bit for bit.
+    ``stack`` is the trimmed coefficient stack of A."""
+    n = len(stack)
+    k = np.arange(n)
+    pascal = (np.array(centres, dtype=complex)[:, None] ** k)[:, np.clip(k - k[:, None], 0, None)]
+    pascal *= binom[:n, :n]
+    return (pascal @ stack.reshape(n, -1)).reshape((len(centres),) + stack.shape)
 
-    ``B`` holds the coefficients of A(c+s), ``H0 = h(c)``, ``H1 = h'(c)``,
-    and ``ra <= rb`` are the distances from c to the zeros of h, with
-    ``|delta| <= ra / 2``.  The coefficients follow the recurrence
-    ``H0 (n+1) Y_{n+1} = sum_k B_k Y_{n-k} - H1 n Y_n - (n-1) Y_{n-1}``.
+
+def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
+                  ra: np.ndarray, rb: np.ndarray, tail: float):
+    """Y_j(delta_j) for h(c_j+s) Y' = A(c_j+s) Y, Y(0) = I, for each step j
+    of a block, from the Taylor series of the steps run together.
+
+    ``B[j]`` holds the coefficients of A(c_j+s), ``H0[j] = h(c_j)`` and
+    ``H1[j] = h'(c_j)`` (Python numbers, as are the ``delta[j]``: the bound
+    takes their moduli by Python's abs), and ``ra[j] <= rb[j]`` are the
+    distances from c_j to the zeros of h, with ``|delta_j| <= ra[j] / 2``.
+    The coefficients follow the recurrence
+    ``H0 (n+1) Y_{n+1} = sum_k B_k Y_{n-k} - H1 n Y_n - (n-1) Y_{n-1}``;
+    one matrix product per term advances every step of the block on a
+    leading lane axis, with the coefficients built ``_CHUNK`` terms at a
+    time and Y grown by as many rows.
 
     The truncation bound is Gronwall's.  On the segment [0, delta],
     ``|h(c+s)| >= (ra - |s|)(rb - |s|)`` and ``|A(c+s)| <= sum |B_k| |s|^k``;
     the series P truncated after n terms has the polynomial defect
     ``R = h P' - A P``, so ``|Y - P| <= exp(int |A|/|h|) int |R|/|h|``.
-    Terms are added until that bound is below ``tail`` times the largest
-    term.  Returns (Y(delta), bound), where the bound adds a rounding
-    floor of 8 units in the last place of the summed terms.
+    Every ``_BATCH`` terms each lane is checked on its own, and it leaves
+    the block at the first check where that bound is below ``tail`` times
+    its largest term: it sums the same n terms as a block of one, and its
+    sums are taken lane by lane in the same order.  Returns (T, bound,
+    terms): T[j] = Y_j(delta_j), its bound plus a rounding floor of 8
+    units in the last place of the summed terms, and the number of terms.
+    Raises StepUnderflow, at the first such step, when a series reaches
+    ``_MAX_TERMS`` terms without converging.
     """
-    d = len(B) - 1
+    N, K = B.shape[:2]
+    d = K - 1
     pad = max(d, 1)
-    r = abs(delta)
+    r = [abs(x) for x in delta]
     beta = _norm(B)
-    growth = math.exp(_log_growth(beta, r, ra, rb))
+    growth = [math.exp(g) for g in _log_growth(beta, np.array(r), ra, rb)]
     den = (ra - r) * (rb - r)
+    absH0 = np.array([abs(x) for x in H0])
     # [B_p .. B_1 - (n-1), B_0 - n H1] / (H0 (n+1)) times [Y_{n-p}; ..; Y_n]
-    # is Y_{n+1} (B_k = 0 for k > d); built for a chunk of n at a time
-    Bcat = np.zeros((2, pad + 1, 2), dtype=complex)
-    Bcat[:, pad - d:] = B[::-1].transpose(1, 0, 2)
-    Bcat = Bcat.reshape(2, 2 * (pad + 1))
-    Jn = np.zeros_like(Bcat)
-    Jn[:, -4:-2] = np.eye(2)
-    Jn[:, -2:] = H1 * np.eye(2)
-    Bcat[:, -4:-2] += np.eye(2)
-    Y = np.zeros((pad + _MAX_TERMS + _BATCH + 1, 2, 2), dtype=complex)
-    Y[pad] = np.eye(2)
-    rpow = r ** np.arange(_MAX_TERMS + _BATCH + d + 2)
+    # is Y_{n+1} (B_k = 0 for k > d); Bcat holds it at n = 0 and J the
+    # columns that change with n, [I, H1 I]
+    Bcat = np.zeros((N, 2, pad + 1, 2), dtype=complex)
+    Bcat[:, :, pad - d:] = B[:, ::-1].transpose(0, 2, 1, 3)
+    Bcat = Bcat.reshape(N, 2, 2 * (pad + 1))
+    Bcat[:, :, -4:-2] += np.eye(2)
+    J = np.zeros((N, 2, 4), dtype=complex)
+    J[:, :, :2] = np.eye(2)
+    J[:, :, 2:] = np.array(H1, dtype=complex)[:, None, None] * np.eye(2)
+    H0a = np.array(H0, dtype=complex)[:, None, None, None]
+    chunk = np.empty((N, _CHUNK) + Bcat.shape[1:], dtype=complex)
+    Y = np.zeros((N, pad + 1, 2, 2), dtype=complex)
+    Y[:, pad] = np.eye(2)
+    rr = np.array(r)[:, None]
+    rpow = np.empty((N, 0))
+    T = np.empty((N, 2, 2), dtype=complex)
+    bound = np.empty(N)
+    terms = np.zeros(N, dtype=int)
+    lane = np.arange(N)                 # the step of each row still running
+    largest = np.ones(N)
     n = 0
-    largest = 1.0
-    while True:
+    while lane.size:
         for _ in range(_BATCH):
-            if n % 64 == 0:
-                ns = np.arange(n, n + 64)[:, None, None]
-                chunk = (Bcat - ns * Jn) / (H0 * (ns + 1))
-            np.matmul(chunk[n % 64], Y[n: pad + n + 1].reshape(-1, 2),
-                      out=Y[pad + n + 1])
+            if n % _CHUNK == 0:
+                ns = np.arange(n, n + _CHUNK, dtype=complex)[:, None, None]
+                chunk[:] = Bcat[:, None]
+                chunk[..., -4:] -= ns * J[:, None]
+                chunk /= H0a * (ns + 1)
+                Y = np.concatenate([Y, np.zeros((lane.size, _CHUNK, 2, 2), dtype=complex)], axis=1)
+                rpow = np.concatenate([rpow, rr ** np.arange(rpow.shape[1], n + _CHUNK + pad + 1)],
+                                      axis=1)
+            np.matmul(chunk[:, n % _CHUNK], Y[:, n: pad + n + 1].reshape(lane.size, -1, 2),
+                      out=Y[:, pad + n + 1])
             n += 1
-        last = float(np.abs(Y[pad + n]).max()) * rpow[n]
-        largest = max(largest, last)
-        if last > 1e-2 * tail * largest and n < _MAX_TERMS:
+        last = np.abs(Y[:, pad + n]).max(axis=(1, 2)) * rpow[:, n]
+        largest = np.where(last > largest, last, largest)    # max(), blind to NaN
+        ready = np.flatnonzero(~(last > 1e-2 * tail * largest) | (n >= _MAX_TERMS))
+        if not ready.size:
             continue
         # defect of P = sum_{m<n} Y_m s^m: its s^(n-1) coefficient is
         # -H0 n Y_n; its s^(n+j) coefficient, j >= 0, is
         # (n-1) Y_{n-1} [j = 0] - sum_{k>j} B_k Y_{n+j-k}
-        nu = _norm(Y[pad: pad + n + 1])
-        terms = nu[:n] * rpow[:n]
-        w = nu[n - 1::-1][:d]                    # |Y_{n-1}|, |Y_{n-2}|, ..
-        lag = np.correlate(beta[1:], w, "full")[len(w) - 1:] if d else np.zeros(1)
-        lag[0] += (n - 1) * nu[n - 1]
-        m = n + 1 + np.arange(len(lag))
-        defect = abs(H0) * nu[n] * rpow[n] + float(np.sum(lag * rpow[m] / m))
-        bound = growth * defect / den
-        if bound <= tail * float(terms.max()):
+        nu = _norm(Y[ready, pad: pad + n + 1])
+        rp = rpow[ready]
+        sizes = nu[:, :n] * rp[:, :n]
+        head = absH0[lane[ready]] * nu[:, n] * rp[:, n]
+        m = n + 1 + np.arange(pad)
+        for k, i in enumerate(ready):
+            j = lane[i]
+            w = nu[k, n - 1::-1][:d]                  # |Y_{n-1}|, |Y_{n-2}|, ..
+            lag = np.correlate(beta[j, 1:], w, "full")[len(w) - 1:] if d else np.zeros(1)
+            lag[0] += (n - 1) * nu[k, n - 1]
+            b = growth[j] * (head[k] + float(np.sum(lag * rp[k, m] / m))) / den[j]
+            if b <= tail * float(sizes[k].max()):
+                # sum_{m<n} Y_m delta^m as one (1, n) x (n, 4) product
+                T[j] = np.dot((delta[j] ** np.arange(n))[None],
+                              Y[i, pad:pad + n].reshape(n, 4)).reshape(2, 2)
+                bound[j] = b + 8.0 * _U * float(sizes[k].sum())
+                terms[j] = n
+            elif n >= _MAX_TERMS:
+                raise StepUnderflow(f"local series did not converge within {_MAX_TERMS} "
+                                    f"terms (tail bound {b:.3e})")
+        keep = terms[lane] == 0
+        if not keep.all():
+            # the two large arrays are compacted in place, without a second copy
+            for to, row in enumerate(np.flatnonzero(keep)):
+                chunk[to], Y[to] = chunk[row], Y[row]
+            chunk, Y = chunk[:keep.sum()], Y[:keep.sum()]
+            lane, largest, rpow, rr = lane[keep], largest[keep], rpow[keep], rr[keep]
+            Bcat, J, H0a = Bcat[keep], J[keep], H0a[keep]
+    return T, bound, terms
+
+
+def _halvings(beta: np.ndarray, ra: np.ndarray, rb: np.ndarray, levels: int) -> np.ndarray:
+    """How often the step rule halves the step ra/2 from a centre whose
+    shifted A has the coefficient norms ``beta``: the first k with a log
+    growth at ra/2^(k+1) of at most _MAX_LOG_GROWTH, one per row, or
+    ``levels`` when no k below ``levels`` passes.  The lengths ra/2^(k+1)
+    are exact, so every row sees the values of the halving loop."""
+    dts = np.ldexp(0.5 * ra[:, None], -np.arange(levels))
+    lg = _log_growth(np.repeat(beta, levels, axis=0), dts.ravel(),
+                     np.repeat(ra, levels), np.repeat(rb, levels))
+    passes = ~(lg.reshape(-1, levels) > _MAX_LOG_GROWTH)
+    return np.where(passes.any(axis=1), passes.argmax(axis=1), levels)
+
+
+def _plan_block(segments: list, seg: int, t: float, roots, spread: float,
+                stack: np.ndarray, binom: np.ndarray, room: int):
+    """The next at most ``room`` steps of a contour, from arclength t on
+    segment ``seg``, by the step rule of ``propagate``.
+
+    The steps are planned optimistically, each halved as often as the
+    step before it (not at all at first), and checked together with one
+    batched Pascal shift and one growth evaluation.  At the first step
+    whose count of halvings differs the plan is cut: that step gets its
+    own count, and planning resumes from its end.  A step that lies on a
+    zero of h ends the block, and raises SingularityTooClose when it would
+    be the first.  Returns the centres, ends, root distances and shifted
+    coefficients of the steps, and the position after the last.
+    """
+    cs, z1s, ras, rbs, Bs = [], [], [], [], []
+    halved = 0
+    while len(cs) < room and seg < len(segments):
+        plan = []                                   # (c, ra, rb, seg, t) per step
+        s, u = seg, t
+        while len(cs) + len(plan) < room and s < len(segments):
+            z, L = segments[s]
+            c = z(u)
+            ra, rb = sorted(abs(c - root) for root in roots)
+            if ra <= 1e-12 * spread:
+                if cs or plan:
+                    break
+                raise SingularityTooClose(f"contour passes through a zero of h at {c}")
+            plan.append((c, ra, rb, s, u))
+            dt = math.ldexp(0.5 * ra, -halved)
+            u = L if dt >= L - u else u + dt
+            s, u = (s + 1, 0.0) if u >= L else (s, u)
+        if not plan:
             break
-        if n >= _MAX_TERMS:
-            raise StepUnderflow(f"local series did not converge within {_MAX_TERMS} "
-                                f"terms (tail bound {bound:.3e})")
-    T = np.tensordot(delta ** np.arange(n), Y[pad:pad + n], axes=1)
-    return T, bound + 8.0 * _U * float(terms.sum())
+        B = _shifted(stack, [p[0] for p in plan], binom)
+        beta = _norm(B)
+        ra, rb = np.array([p[1:3] for p in plan]).T
+        counts = [halved] * len(plan)
+        wrong = np.flatnonzero(_halvings(beta, ra, rb, halved + 1) != halved)
+        if wrong.size:
+            i, levels = wrong[0], 64
+            while (halved := int(_halvings(beta[i:i + 1], ra[i:i + 1], rb[i:i + 1],
+                                           levels)[0])) == levels:
+                levels *= 2
+            counts[i] = halved
+            plan = plan[:i + 1]
+        for (c, a, b, s, u), k in zip(plan, counts):
+            z, L = segments[s]
+            dt = math.ldexp(0.5 * a, -k)
+            u = L if dt >= L - u else u + dt
+            cs.append(c)
+            z1s.append(z(u))
+            ras.append(a)
+            rbs.append(b)
+            seg, t = (s + 1, 0.0) if u >= L else (s, u)
+        Bs.append(B[:len(plan)])
+    return cs, z1s, np.array(ras), np.array(rbs), np.concatenate(Bs), seg, t
 
 
 # an overflow, in a step or in the product of the steps, leaves a non-finite
@@ -233,18 +367,24 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
     Gronwall factor exceeds e^20, and the local series of the
     solution, generated by the exact recurrence of h Y' = A Y, is summed
     until its tail bound falls below 1e-5 * tol relative to its largest
-    term.  ``Transport.error`` bounds the infinity norm of the error of
-    M: the tail bound and rounding floor of every step, plus the gap
-    between the full series A at the step's end and the recentred
-    polynomial the step used, carried through the products of the step
-    transports.  The contour must keep a tolerance-dependent clearance
-    from the zeros of h, measured relative to the root-spread scale.
+    term.  Every step starts from Y(0) = I, so the steps are planned
+    first, up to ``_LANES`` at a time, and the series of a block then run
+    together on one lane axis (``_taylor_steps``); the steps and their sums
+    are those of one step at a time.  ``Transport.error`` bounds the
+    infinity norm of the error of M: the tail bound and rounding floor of
+    every step, plus the gap between the full series A at the step's end
+    and the recentred polynomial the step used, carried through the
+    products of the step transports.  The contour must keep a
+    tolerance-dependent clearance from the zeros of h, measured relative
+    to the root-spread scale.
 
     Raises ValueError for a tol outside [1e-13, 1e-6] or a non-finite h,
     SingularityTooClose when the contour comes too near a zero of h, and
     StepUnderflow when a local series does not converge within a fixed
     number of terms, the contour needs more than a fixed number of steps,
-    or the transport or its error bound overflows.
+    or the transport or its error bound overflows.  The errors keep the
+    order of the steps: a block's series run before the next block is
+    planned.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -260,49 +400,44 @@ def propagate(system: ParametricSystem, contour: Contour, tol: float = 1e-9) -> 
     # A(c + s) at each step from a Pascal shift of A's polynomial part
     stack = trim(system.A.coeffs)
     binom = binomials(len(stack))
-    Ts, bounds, Bs, ends, dist = [], [], [], [], []
-    for z, L in contour.segments():
-        t = 0.0
-        while t < L:
-            if len(Ts) == _MAX_STEPS:
-                raise StepUnderflow(f"contour needs more than {_MAX_STEPS} Taylor steps")
-            c = z(t)
-            ra, rb = sorted(abs(c - root) for root in roots)
-            if ra <= 1e-12 * spread:
-                raise SingularityTooClose(f"contour passes through a zero of h at {c}")
-            B = pascal_shift(stack, c, binom=binom)
-            dt = 0.5 * ra
-            while _log_growth(_norm(B), dt, ra, rb) > _MAX_LOG_GROWTH:
-                dt *= 0.5
-            t = L if dt >= L - t else t + dt
-            z1 = z(t)
-            T, bound = _taylor_step(B, system.h_at(c), 2.0 * c + system.h1,
-                                    z1 - c, ra, rb, _TAIL * tol)
-            Ts.append(T)
-            bounds.append(bound)
-            Bs.append(B)
-            ends.append((c, z1))
-            dist.append((ra, rb))
-    if not Ts:
-        return Transport(np.eye(2, dtype=complex), 0.0, 0.0, 0)
+    segments = list(contour.segments())
+    seg, t = 0, 0.0
+    Ts, bounds, terms, Bs, ends, dist = [], [], [], [], [], []
+    while seg < len(segments):
+        if len(ends) == _MAX_STEPS:
+            raise StepUnderflow(f"contour needs more than {_MAX_STEPS} Taylor steps")
+        cs, z1s, ra, rb, B, seg, t = _plan_block(segments, seg, t, roots, spread, stack,
+                                                 binom, min(_LANES, _MAX_STEPS - len(ends)))
+        T, bound, n = _taylor_steps(B, [system.h_at(c) for c in cs],
+                                    [2.0 * c + system.h1 for c in cs],
+                                    [z1 - c for c, z1 in zip(cs, z1s)], ra, rb, _TAIL * tol)
+        Ts.append(T)
+        bounds.append(bound)
+        terms.extend(n.tolist())
+        Bs.append(B)
+        ends.extend(zip(cs, z1s))
+        dist.extend(zip(ra, rb))
+    if not ends:
+        return Transport(np.eye(2, dtype=complex), 0.0, 0.0, 0, ())
     # a posteriori: the full series A at each step's end against the
     # recentred polynomial the step used, a data defect acting over the step
     c, z1 = np.array(ends).T
     delta = z1 - c
-    recentred = np.einsum("nk,nkij->nij", delta[:, None] ** np.arange(len(stack)), np.array(Bs))
+    recentred = np.einsum("nk,nkij->nij", delta[:, None] ** np.arange(len(stack)),
+                          np.concatenate(Bs))
     gap = _norm(system.A.eval(z1) - recentred)
     ra, rb = np.array(dist).T
     r = np.abs(delta)
-    Ts = np.array(Ts)
-    local = np.array(bounds) + _norm(Ts) * r * gap / ((ra - r) * (rb - r))
-    tr = _carry(Ts, local)
+    Ts = np.concatenate(Ts)
+    local = np.concatenate(bounds) + _norm(Ts) * r * gap / ((ra - r) * (rb - r))
+    tr = _carry(Ts, local, tuple(terms))
     if not (np.isfinite(tr.M).all() and math.isfinite(tr.error)
             and math.isfinite(tr.trace_error)):
         raise StepUnderflow("the transport or its error bound overflowed")
     return tr
 
 
-def _carry(Ts: np.ndarray, local: np.ndarray) -> Transport:
+def _carry(Ts: np.ndarray, local: np.ndarray, terms: tuple) -> Transport:
     """Multiply the step transports T_j and carry their error bounds E_j.
 
     To first order the error of M = T_{N-1} .. T_0 is
@@ -323,7 +458,7 @@ def _carry(Ts: np.ndarray, local: np.ndarray) -> Transport:
     error = float(np.sum(nQ * (local * nP + rounding)))
     loop = np.abs(P @ Q).sum(axis=(1, 2))
     trace_error = float(np.sum(local * loop + rounding * np.abs(Q).sum(axis=(1, 2))))
-    return Transport(M, error, trace_error, N)
+    return Transport(M, error, trace_error, N, terms)
 
 
 def auto_contour(system: ParametricSystem, validity_radius: float = math.inf) -> Contour:
@@ -374,7 +509,7 @@ def gamma_numeric(system: ParametricSystem, F: FormalInvariants | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         det_defect = abs(np.linalg.det(M) - cmath.exp(4j * math.pi * F.lambda1))
     liouville = 2.0 * abs(phase) * det_defect / max(1.0, float(_norm(M)))
-    return MonodromyResult(M, gamma, max(bound, liouville), tr.steps, det_defect)
+    return MonodromyResult(M, gamma, max(bound, liouville), tr.steps, det_defect, tr.terms)
 
 
 def gamma_closed_form(A0, A1) -> complex:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,3 +256,108 @@ def test_steps_shrink_when_local_growth_is_large(monkeypatch):
     res = gamma_numeric(s, tol=1e-9)
     assert res.steps > 2 * base.steps
     assert abs(res.gamma - 2.0) <= res.est_error < 1e-9
+
+
+def test_block_lanes_match_single_lanes(monkeypatch):
+    """Each lane of a block gets bitwise the T, bound and term count that it
+    gets as a block of one, though the lanes leave the block at different
+    convergence checks."""
+    import resunfold.monodromy as monodromy
+    s = random_system(np.random.default_rng(13))
+    run, blocks = monodromy._taylor_steps, []
+    monkeypatch.setattr(monodromy, "_taylor_steps", lambda *a: blocks.append(a) or run(*a))
+    propagate(s, auto_contour(s), tol=1e-9)
+    (B, H0, H1, delta, ra, rb, tail), = blocks
+    T, bound, terms = run(B, H0, H1, delta, ra, rb, tail)
+    assert len(B) > 8 and len(set(terms.tolist())) > 1
+    for j in range(len(B)):
+        one = slice(j, j + 1)
+        Tj, bj, nj = run(B[one], H0[one], H1[one], delta[one], ra[one], rb[one], tail)
+        assert Tj[0].tobytes() == T[j].tobytes()
+        assert bj[0].tobytes() == bound[j].tobytes() and nj[0] == terms[j]
+
+
+def test_block_size_leaves_the_result_unchanged(monkeypatch):
+    """The 97-point polyline takes 96 steps, several blocks; with every
+    step a block of its own the result is bitwise the same."""
+    import resunfold.monodromy as monodromy
+    s = model_system(0.1, 0.01)
+    contour = auto_contour(s)
+    ts = np.linspace(0, 2 * math.pi, 97)
+    poly = Contour.polyline(list(contour.center + contour.radius * np.exp(1j * ts)))
+    blocked = gamma_numeric(s, tol=1e-9, contour=poly)
+    assert blocked.steps > 2 * monodromy._LANES and len(blocked.terms) == blocked.steps
+    monkeypatch.setattr(monodromy, "_LANES", 1)
+    single = gamma_numeric(s, tol=1e-9, contour=poly)
+    assert blocked.M.tobytes() == single.M.tobytes()
+    assert repr(blocked.est_error) == repr(single.est_error)
+    assert (blocked.steps, blocked.terms) == (single.steps, single.terms)
+
+
+def test_halving_mid_block_keeps_the_sequential_steps(monkeypatch):
+    """With the growth cap at 1.3 the first two steps of the model contour
+    pass at half the root distance and the third is halved, inside the
+    first block.  The centres, read from the one h(c) per step, are those
+    of the sequential step rule written out here."""
+    import resunfold.monodromy as monodromy
+    from resunfold.algebra import pascal_shift, trim
+    monkeypatch.setattr(monodromy, "_MAX_LOG_GROWTH", 1.3)
+    s = model_system(0.1, 0.01)
+    contour = auto_contour(s)
+    roots, stack = s.h_roots(), trim(s.A.coeffs)
+
+    def too_steep(B, r, ra, rb):
+        beta = monodromy._norm(B)[None]
+        return monodromy._log_growth(beta, np.array([r]), np.array([ra]), np.array([rb]))[0] > 1.3
+
+    expected, halved = [], []
+    for z, L in contour.segments():
+        t = 0.0
+        while t < L:
+            c = z(t)
+            ra, rb = sorted(abs(c - root) for root in roots)
+            B = pascal_shift(stack, c)
+            dt = 0.5 * ra
+            while too_steep(B, dt, ra, rb):
+                dt *= 0.5
+            expected.append(c)
+            halved.append(dt < 0.5 * ra)
+            t = L if dt >= L - t else t + dt
+    assert halved[:3] == [False, False, True]
+    centres, h_at = [], ParametricSystem.h_at
+    monkeypatch.setattr(ParametricSystem, "h_at", lambda self, z: centres.append(z) or h_at(self, z))
+    propagate(s, contour, tol=1e-9)
+    assert centres == expected
+
+
+def test_lane_failing_mid_block_raises_did_not_converge(monkeypatch):
+    """A term cap that the first step of a contour meets and a later one
+    does not: the block raises "did not converge" with the tail bound that
+    a block of one reports."""
+    import resunfold.monodromy as monodromy
+    s = random_system(np.random.default_rng(13))
+    terms = gamma_numeric(s, tol=1e-9).terms
+    cap = max(terms) - monodromy._BATCH
+    assert terms[0] <= cap
+    monkeypatch.setattr(monodromy, "_MAX_TERMS", cap)
+    with pytest.raises(StepUnderflow, match="did not converge") as blocked:
+        propagate(s, auto_contour(s), tol=1e-9)
+    monkeypatch.setattr(monodromy, "_LANES", 1)
+    with pytest.raises(StepUnderflow) as single:
+        propagate(s, auto_contour(s), tol=1e-9)
+    assert str(blocked.value) == str(single.value)
+
+
+def test_step_cap_transport_memory(tmp_path):
+    """The base-0.3 transport of the CLI tests fills blocks up to the
+    1000-step cap, where it stops; its traced peak stays under 16 MB."""
+    from test_cli import decaying_descriptor
+    s = ParametricSystem.load(decaying_descriptor(tmp_path / "d.json", 0.3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepUnderflow, match="Taylor steps"):
+            gamma_numeric(s, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
