@@ -84,17 +84,8 @@ class CSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def __repr__(self) -> str:
         return f"CSeries({np.array2string(self.coeffs, precision=6)})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return bool(np.array_equal(self.coeffs[:n], other.coeffs[:n]))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
@@ -117,9 +108,6 @@ class CSeries:
         b = self._coerce(other)
         n = min(self.order, b.order)
         return CSeries(self.coeffs[:n] - b.coeffs[:n])
-
-    def __rsub__(self, other) -> "CSeries":
-        return self._coerce(other) - self
 
     def __neg__(self) -> "CSeries":
         return CSeries(-self.coeffs)
@@ -148,9 +136,6 @@ class CSeries:
         if isinstance(other, CSeries):
             return self * other.reciprocal()
         return CSeries(self.coeffs / complex(other))
-
-    def __rtruediv__(self, other) -> "CSeries":
-        return self._coerce(other) * self.reciprocal()
 
     def affine_substitute(self, shift: complex, scale: complex) -> "CSeries":
         """Re-expand around a new origin: returns f(shift + scale*x).
@@ -211,7 +196,7 @@ def trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def pascal_shift(coeffs: np.ndarray, shift: complex, scale: complex = 1.0,
+def pascal_shift(coeffs: np.ndarray, shift, scale: complex = 1.0,
                  binom: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of f(shift + scale*x) from those of f along axis 0.
 
@@ -219,16 +204,19 @@ def pascal_shift(coeffs: np.ndarray, shift: complex, scale: complex = 1.0,
     matrix product with the Pascal matrix of the polynomial part (the
     zeros past the last nonzero coefficient stay zero, and the binomials
     stay finite doubles while that part has degree < 1000); ``binom`` is
-    ``binomials(n)``, n >= its length, when the caller keeps it.
+    ``binomials(n)``, n >= its length, when the caller keeps it.  A
+    vector of shifts gives one re-expansion per shift on a leading axis,
+    each equal bit for bit to the shift on its own.
     """
     c = trim(coeffs)
     n = len(c)
     k = np.arange(n)
     binom = binomials(n) if binom is None else binom[:n, :n]
-    pascal = binom * (complex(shift) ** k)[np.clip(k - k[:, None], 0, None)]
+    shift = np.asarray(shift, dtype=complex)
+    pascal = binom * (shift[..., None] ** k)[..., np.clip(k - k[:, None], 0, None)]
     pascal *= (complex(scale) ** k)[:, None]
-    out = np.zeros(coeffs.shape, dtype=complex)
-    out[:n] = (pascal @ c.reshape(n, -1)).reshape(c.shape)
+    out = np.zeros(shift.shape + coeffs.shape, dtype=complex)
+    out.reshape(shift.shape + (len(coeffs), -1))[..., :n, :] = pascal @ c.reshape(n, -1)
     return out
 
 
@@ -276,10 +264,6 @@ class CSeriesMat2:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __add__(self, other: "CSeriesMat2") -> "CSeriesMat2":
-        n = min(self.order, other.order)
-        return CSeriesMat2.from_coeffs(self.coeffs[:n] + other.coeffs[:n])
-
     def __sub__(self, other) -> "CSeriesMat2":
         """Difference with a series matrix, or with ``other * I`` for a CSeries."""
         n = min(self.order, other.order)
@@ -289,9 +273,6 @@ class CSeriesMat2:
             c[:, 1, 1] -= other.coeffs[:n]
             return CSeriesMat2.from_coeffs(c)
         return CSeriesMat2.from_coeffs(self.coeffs[:n] - other.coeffs[:n])
-
-    def __neg__(self) -> "CSeriesMat2":
-        return CSeriesMat2.from_coeffs(-self.coeffs)
 
     def __matmul__(self, other: "CSeriesMat2") -> "CSeriesMat2":
         n = min(self.order, other.order)

@@ -5,12 +5,15 @@ Every run writes a manifest echo next to its outputs so results are
 reproducible from the recorded arguments alone.
 
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
-error (including an invalid system descriptor, a numeric option out of
-range, a rotation omega outside the sector |arg omega| < eta, a zero of h
-outside the unit disc, a contour too close to a zero of h, a monodromy
-transport that does not converge, and a failed Picard solve),
-3 NonGeneric, 4 Indeterminate, 5 a gamma whose error bound is not small
-against it.
+error (including an invalid system descriptor or invariants file, a
+numeric option out of range, a rotation omega outside the sector
+|arg omega| < eta, annulus constants that violate the contraction
+inequality, a zero of h outside the unit disc, a contour too close to a
+zero of h, a monodromy transport that does not converge, a failed Picard
+solve, and gamma-pole saturation in kappa), 3 NonGeneric, 4
+Indeterminate, 5 a gamma whose error bound is not small against it.
+Every refusal is one ``error:`` line on stderr, written by ``main`` from
+``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -77,9 +80,15 @@ EXIT_NON_GENERIC = 3
 EXIT_INDETERMINATE = 4
 EXIT_UNRELIABLE = 5
 
+
+class UsageError(ValueError):
+    """A command line, or a file it names, that a command refuses."""
+
+
 # the package's named errors a command reports with a one-line message;
 # any other exception is a bug and propagates
 EXIT_CODES = {
+    UsageError: EXIT_PARSE,
     NonGeneric: EXIT_NON_GENERIC,
     UnreliableGamma: EXIT_UNRELIABLE,
     BadDescriptor: EXIT_PARSE,
@@ -169,22 +178,20 @@ def _json_complex(value) -> complex:
     return complex(*value) if isinstance(value, list) else complex(value)
 
 
-def _flow_domain(args, sup_sr: float, **fields):
-    """(omega, DomainConfig) from the options portrait and normcheck share;
-    None, after a one-line message, unless omega != 0, |arg omega| < eta
-    and the annulus constants satisfy the contraction inequality for
-    ``sup_sr`` = sup|s r|.  ``fields`` are further DomainConfig fields."""
+def _flow_domain(args, sup_sr: float = 0.0, **fields):
+    """(omega, DomainConfig) from the options portrait and normcheck share.
+    Raises UsageError unless omega != 0, |arg omega| < eta and the annulus
+    constants satisfy the contraction inequality for ``sup_sr`` =
+    sup|s r|.  ``fields`` are further DomainConfig fields."""
     omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
     if omega == 0 or abs(cmath.phase(omega)) >= args.eta:
-        print(f"error: omega = {omega} must be nonzero with |arg omega| < eta = {args.eta:.6g}",
-              file=sys.stderr)
-        return None
+        raise UsageError(f"omega = {omega} must be nonzero with |arg omega| < eta = "
+                         f"{args.eta:.6g}")
     cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L, xi_max=args.xi_max,
                        **fields)
     if not cfg.feasible(sup_sr):
-        print(f"error: annulus constants violate the contraction inequality "
-              f"(sup|s r| = {sup_sr:.6g})", file=sys.stderr)
-        return None
+        raise UsageError(f"annulus constants violate the contraction inequality "
+                         f"(sup|s r| = {sup_sr:.6g})")
     return omega, cfg
 
 
@@ -254,8 +261,7 @@ def cmd_normalform(args) -> int:
         if args.variant == "q" and args.param is None:
             gamma = _json_complex(data["gamma"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad invariants file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise UsageError(f"bad invariants file: {exc}") from exc
     if args.variant == "q":
         if gamma is None:
             q = args.param
@@ -266,8 +272,7 @@ def cmd_normalform(args) -> int:
         param_out = {"q": q}
     else:
         if args.param is None:
-            print("error: b-form needs --param", file=sys.stderr)
-            return EXIT_PARSE
+            raise UsageError("b-form needs --param")
         b = args.param
         system = build_b_form(F, b, order=args.order)
         param_out = {"b": b}
@@ -284,10 +289,7 @@ def cmd_normalform(args) -> int:
 
 def cmd_portrait(args) -> int:
     mu, eps = args.mu, args.eps
-    domain = _flow_domain(args, args.sup_sr)
-    if domain is None:
-        return EXIT_PARSE
-    omega, cfg = domain
+    omega, cfg = _flow_domain(args)
     rp = RamifiedPoint.from_values(mu, eps)
     out = _ensure_outdir(args)
 
@@ -342,8 +344,7 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    report = batch_verify(args.samples, seed=args.seed, mu_abs=args.mu_abs,
-                          eps_abs_range=(args.eps_abs_min, args.eps_abs_max))
+    report = batch_verify(args.samples, seed=args.seed)
     # Stirling-limit rows
     rp_i = RamifiedPoint.from_values(0.09, 1e-6)
     kI, _, _ = kappa_formulas(rp_i, 0.1)
@@ -360,8 +361,7 @@ def cmd_kappa(args) -> int:
     _write_manifest(args, out, ["kappa_report.json"])
     print(json.dumps(_jsonable({k: v["max"] for k, v in report["residuals"].items()})))
     if report["pole_fraction"] > 0.10:
-        print("error: gamma-pole saturation above 10%", file=sys.stderr)
-        return EXIT_PARSE
+        raise UsageError("gamma-pole saturation above 10%")
     return EXIT_OK
 
 
@@ -373,11 +373,8 @@ def cmd_normcheck(args) -> int:
         ss = np.linspace(-args.delta_s, args.delta_s, 101)
         grid = ss[None, :] + 1j * ss[:, None]
         sup_sr = float(np.max(np.abs(grid * r.eval(grid * grid - mu))))
-    domain = _flow_domain(args, sup_sr, trace_step=args.trace_step,
-                          parabolic_capture=args.parabolic_capture)
-    if domain is None:
-        return EXIT_PARSE
-    omega, cfg = domain
+    omega, cfg = _flow_domain(args, sup_sr, trace_step=args.trace_step,
+                              parabolic_capture=args.parabolic_capture)
     rp = RamifiedPoint.from_values(mu, eps)
     sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=args.seed_dir,
                                        tol=args.tol)
@@ -452,14 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trajectories, regions and bifurcation CSVs")
     q.add_argument("--grid", type=int, default=41)
     q.add_argument("--trajectories", type=int, default=8)
-    q.add_argument("--sup-sr", type=float, default=0.0, dest="sup_sr")
     q.set_defaults(func=cmd_portrait)
 
     q = sub.add_parser("kappa", help="connection-coefficient identity residuals")
     q.add_argument("--samples", type=int, default=100)
-    q.add_argument("--mu-abs", type=float, default=0.1, dest="mu_abs")
-    q.add_argument("--eps-abs-min", type=float, default=1e-4, dest="eps_abs_min")
-    q.add_argument("--eps-abs-max", type=float, default=1e-2, dest="eps_abs_max")
     q.add_argument("--no-rows", action="store_true", dest="no_rows",
                    help="omit the per-sample residual rows from the report")
     q.set_defaults(func=cmd_kappa)
@@ -478,12 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)
-    for option, attr, rule, ok in OPTION_CHECKS:
-        value = getattr(args, attr, None)
-        if value is not None and not ok(value):
-            print(f"error: {option} {rule}, got {value}", file=sys.stderr)
-            return EXIT_PARSE
     try:
+        for option, attr, rule, ok in OPTION_CHECKS:
+            value = getattr(args, attr, None)
+            if value is not None and not ok(value):
+                raise UsageError(f"{option} {rule}, got {value}")
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -216,31 +216,29 @@ def theta(s: complex, mu: complex, eps: complex,
         branch = RamifiedPoint.from_values(mu, eps)
     scale = max(abs(mu) ** 2, abs(eps), 1e-300)
     generic = abs(eps) > 1e-13 * scale and abs(mu * mu - eps) > 1e-13 * scale
-
+    confluent = abs(eps) <= 1e-13 * scale
+    origin = confluent and abs(mu) <= 1e-13 * math.sqrt(scale)
     if generic:
         s1, s2, se = branch.s1, branch.s2, branch.sqrt_eps
-        for root in (s1, -s1, s2, -s2):
-            if _dist_to_segment(s, root) < CUT_TOL:
-                raise OnCut(f"s = {s} lies on a cut segment")
+        ends = (s1, -s1, s2, -s2)
+    elif origin:
+        ends = (0j,)                    # the cut degenerates to the point 0
+    else:
+        # the nonzero roots of chi: +-sqrt(mu) at eps = 0, +-sqrt(2 mu) at mu^2 = eps
+        r = cmath.sqrt(mu if confluent else 2.0 * mu)
+        ends = (r, -r)
+    if any(_dist_to_segment(s, end) < CUT_TOL for end in ends):
+        raise OnCut(f"s = {s} lies on a cut segment")
+    if generic:
         t1 = (s1 / (2.0 * se)) * cmath.log((s - s1) / (s + s1))
         t2 = (s2 / (2.0 * se)) * cmath.log((s - s2) / (s + s2))
         return t1 - t2
-    if abs(eps) <= 1e-13 * scale and abs(mu) <= 1e-13 * math.sqrt(scale):
-        if abs(s) < CUT_TOL:
-            raise OnCut("s = 0 is the degenerate cut")
+    if origin:
         return -2.0 / s
-    if abs(eps) <= 1e-13 * scale:
-        sm = cmath.sqrt(mu)
-        for root in (sm, -sm):
-            if _dist_to_segment(s, root) < CUT_TOL:
-                raise OnCut(f"s = {s} lies on a cut segment")
-        return -s / (s * s - mu) - cmath.log((s + sm) / (s - sm)) / (2.0 * sm)
-    # mu^2 = eps: the double-root case; sign fixed by the generic limit
-    sr = cmath.sqrt(2.0 * mu)
-    for root in (sr, -sr):
-        if _dist_to_segment(s, root) < CUT_TOL:
-            raise OnCut(f"s = {s} lies on a cut segment")
-    return cmath.log((s - sr) / (s + sr)) / sr
+    if confluent:
+        return -s / (s * s - mu) - cmath.log((s + r) / (s - r)) / (2.0 * r)
+    # mu^2 = eps: the sign is fixed by the generic limit
+    return cmath.log((s - r) / (s + r)) / r
 
 
 def theta_deriv(s: complex, mu: complex, eps: complex) -> complex:
@@ -370,21 +368,19 @@ def _attractors(eqs: list[Equilibrium], w: complex) -> list[Equilibrium]:
 
 
 def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
-                     cfg: DomainConfig | None = None, direction: int = 1,
-                     xi_max: float | None = None) -> TrajectoryRecord:
+                     cfg: DomainConfig | None = None, direction: int = 1) -> TrajectoryRecord:
     """Fixed-step RK4 integration of ds/dxi = direction * omega * chi(s).
 
     Stops on convergence to an equilibrium (within CAPTURE_RADIUS for
     hyperbolic points, parabolic_capture with an inward-motion check for
-    parabolic ones), on leaving the annulus, or at xi_max.
+    parabolic ones), on leaving the annulus, or at cfg.xi_limit.
     """
     if cfg is None:
         cfg = DomainConfig()
     mu, eps = rp.mu_value, rp.eps_value
     w = direction * omega
     h = cfg.trace_step
-    limit = xi_max if xi_max is not None else cfg.xi_limit
-    n_max = int(limit / h) + 1
+    n_max = int(cfg.xi_limit / h) + 1
     if mu == 0 and eps == 0:
         return _confluent_trajectory(complex(s0), omega, mu, eps, cfg, direction, n_max)
     attracting = _attractors(equilibria(rp), w)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import binomials, trim
+from .algebra import binomials, pascal_shift, trim
+from .geometry import _dist_to_segment
 from .invariants import FormalInvariants, extract_formal
 from .system import ParametricSystem
 
@@ -83,17 +84,14 @@ class Contour:
                     continue
                 yield (lambda t, a=a, u=(b - a) / L: a + u * t), L
 
-    def sample(self, n: int = 256) -> np.ndarray:
-        """n points per segment, uniform in arclength, ends included."""
-        u = np.linspace(0.0, 1.0, n)
-        if self.kind == "circle":
-            return self.center + self.radius * np.exp(2j * math.pi * self.orientation * u)
-        pieces = [a + (b - a) * u for a, b in zip(self.points[:-1], self.points[1:]) if b != a]
-        return np.concatenate(pieces) if pieces else np.empty(0, dtype=complex)
-
     def min_distance(self, pts) -> float:
-        samples = self.sample(512)
-        return float(min(abs(samples - complex(p)).min() for p in pts))
+        """Exact distance from the contour to the nearest of ``pts``: to a
+        circle ||p - c| - R|, to a polyline the distance to its nearest
+        segment (a point, for a segment of length 0)."""
+        if self.kind == "circle":
+            return min(abs(abs(complex(p) - self.center) - self.radius) for p in pts)
+        return min(_dist_to_segment(complex(p) - a, b - a)
+                   for p in pts for a, b in zip(self.points[:-1], self.points[1:]))
 
 
 @dataclass(frozen=True)
@@ -162,18 +160,6 @@ def _log_growth(beta: np.ndarray, r: np.ndarray, ra: np.ndarray, rb: np.ndarray)
     return r / _PANELS * g.sum(axis=1)
 
 
-def _shifted(stack: np.ndarray, centres, binom: np.ndarray) -> np.ndarray:
-    """Coefficients of A(c + s) for every centre c, shape
-    (len(centres),) + stack.shape: ``algebra.pascal_shift(stack, c,
-    binom=binom)`` as one batched product, equal to it bit for bit.
-    ``stack`` is the trimmed coefficient stack of A."""
-    n = len(stack)
-    k = np.arange(n)
-    pascal = (np.array(centres, dtype=complex)[:, None] ** k)[:, np.clip(k - k[:, None], 0, None)]
-    pascal *= binom[:n, :n]
-    return (pascal @ stack.reshape(n, -1)).reshape((len(centres),) + stack.shape)
-
-
 def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
                   ra: np.ndarray, rb: np.ndarray, tail: float):
     """Y_j(delta_j) for h(c_j+s) Y' = A(c_j+s) Y, Y(0) = I, for each step j
@@ -199,8 +185,10 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
     sums are taken lane by lane in the same order.  Returns (T, bound,
     terms): T[j] = Y_j(delta_j), its bound plus a rounding floor of 8
     units in the last place of the summed terms, and the number of terms.
-    Raises StepUnderflow, at the first such step, when a series reaches
-    ``_MAX_TERMS`` terms without converging.
+    Raises StepUnderflow when a series reaches ``_MAX_TERMS`` terms
+    without converging, for the first such step.  A lane whose bound is
+    not finite (its terms overflowed) fails at once, and the error is
+    raised as soon as no earlier step is still running.
     """
     N, K = B.shape[:2]
     d = K - 1
@@ -231,6 +219,7 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
     terms = np.zeros(N, dtype=int)
     lane = np.arange(N)                 # the step of each row still running
     largest = np.ones(N)
+    failed = None                       # (step, bound) of the first failed step
     n = 0
     while lane.size:
         for _ in range(_BATCH):
@@ -270,9 +259,10 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
                               Y[i, pad:pad + n].reshape(n, 4)).reshape(2, 2)
                 bound[j] = b + 8.0 * _U * float(sizes[k].sum())
                 terms[j] = n
-            elif n >= _MAX_TERMS:
-                raise StepUnderflow(f"local series did not converge within {_MAX_TERMS} "
-                                    f"terms (tail bound {b:.3e})")
+            elif n >= _MAX_TERMS or not math.isfinite(b):
+                terms[j] = n
+                if failed is None or j < failed[0]:
+                    failed = (j, b)
         keep = terms[lane] == 0
         if not keep.all():
             # the two large arrays are compacted in place, without a second copy
@@ -281,6 +271,9 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
             chunk, Y = chunk[:keep.sum()], Y[:keep.sum()]
             lane, largest, rpow, rr = lane[keep], largest[keep], rpow[keep], rr[keep]
             Bcat, J, H0a = Bcat[keep], J[keep], H0a[keep]
+        if failed is not None and not (lane.size and lane[0] < failed[0]):
+            raise StepUnderflow(f"local series did not converge within {_MAX_TERMS} "
+                                f"terms (tail bound {failed[1]:.3e})")
     return T, bound, terms
 
 
@@ -330,7 +323,7 @@ def _plan_block(segments: list, seg: int, t: float, roots, spread: float,
             s, u = (s + 1, 0.0) if u >= L else (s, u)
         if not plan:
             break
-        B = _shifted(stack, [p[0] for p in plan], binom)
+        B = pascal_shift(stack, [p[0] for p in plan], binom=binom)
         beta = _norm(B)
         ra, rb = np.array([p[1:3] for p in plan]).T
         counts = [halved] * len(plan)

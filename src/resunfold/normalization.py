@@ -76,12 +76,9 @@ class PSolution:
         return complex(self.p[-1])
 
 
-def _eval_r(r, x):
-    if r is None:
-        return np.zeros_like(x)
-    if isinstance(r, CSeries):
-        return r.eval(x)
-    return r(x)
+def _eval_r(r: CSeries | None, x):
+    """r(x), or zeros when there is no r."""
+    return np.zeros_like(x) if r is None else r.eval(x)
 
 
 def _backward_recurrence(log_E: complex, n: int):
@@ -202,8 +199,7 @@ def p_equation_residual(sol: PSolution, r, interior: float = 0.1) -> float:
 
 def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
                    seed_dir: complex = 1.0, seed_offset: float = 1e-4,
-                   seed_point: complex | None = None,
-                   xi_max: float | None = None) -> TrajectoryRecord:
+                   seed_point: complex | None = None) -> TrajectoryRecord:
     """Heteroclinic trajectory arc through a seed.
 
     Seeds at s1 + seed_offset*seed_dir (or at an explicit ``seed_point``
@@ -213,10 +209,10 @@ def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     repelling end.
     """
     start = rp.s1 + seed_offset * seed_dir if seed_point is None else seed_point
-    fwd = trace_trajectory(start, omega, rp, cfg, direction=1, xi_max=xi_max)
+    fwd = trace_trajectory(start, omega, rp, cfg, direction=1)
     if fwd.terminal != "converged":
         raise NoOverlap(f"forward trace ended with '{fwd.terminal}'")
-    bwd = trace_trajectory(start, omega, rp, cfg, direction=-1, xi_max=xi_max)
+    bwd = trace_trajectory(start, omega, rp, cfg, direction=-1)
     if bwd.terminal != "converged":
         raise NoOverlap(f"backward trace ended with '{bwd.terminal}'")
     s_all = np.concatenate([bwd.s[::-1], fwd.s[1:]])
@@ -342,8 +338,7 @@ def diagonalization_residual(asm: FAssembly, r=None) -> float:
 
 
 def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
-                        r=None, seed_dir: complex | None = None,
-                        tol: float = 1e-12, xi_max: float | None = None):
+                        r=None, seed_dir: complex | None = None, tol: float = 1e-12):
     """Trace one connecting arc and solve for both Picard solutions.
 
     Returns (p_i_sol on the arc, p_j_sol on the reversed-negated arc).
@@ -353,12 +348,11 @@ def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
         if d == 0:
             raise NoOverlap("no default seed direction at mu = eps = 0")
         seed_dir = d / abs(d)
-    return _picard_pair(connecting_arc(rp, omega, cfg, seed_dir, xi_max=xi_max), r, rp, tol)
+    return _picard_pair(connecting_arc(rp, omega, cfg, seed_dir), r, rp, tol)
 
 
 def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
-                        r=None, seed_point: complex | None = None,
-                        tol: float = 1e-12, xi_max: float | None = None):
+                        r=None, seed_point: complex | None = None, tol: float = 1e-12):
     """Picard solutions on an outer arc (connection s1 -> -s1).
 
     Without an explicit seed, a coarse region classification supplies an
@@ -370,8 +364,7 @@ def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
         if len(outer) == 0:
             raise NoOverlap("no outer-region points found on the seed grid")
         seed_point = complex(outer[len(outer) // 2])
-    arc = connecting_arc(rp, omega, cfg, seed_point=seed_point, xi_max=xi_max)
-    return _picard_pair(arc, r, rp, tol)
+    return _picard_pair(connecting_arc(rp, omega, cfg, seed_point=seed_point), r, rp, tol)
 
 
 def _picard_pair(arc: TrajectoryRecord, r, rp: RamifiedPoint, tol: float):
@@ -551,12 +544,13 @@ def verify_cocycles(rp_bar: RamifiedPoint, Q: complex) -> dict:
     return res
 
 
-KAPPA_Q_ABS = 0.3     # batch_verify draws Q from the square |Re Q|, |Im Q| <= KAPPA_Q_ABS
+KAPPA_Q_ABS = 0.3     # batch_verify draws Q from the square |Re Q|, |Im Q| <= KAPPA_Q_ABS,
+KAPPA_MU_ABS = 0.1    # ... mu with |mu| <= KAPPA_MU_ABS,
+KAPPA_EPS_ABS = (1e-4, 1e-2)  # ... eps with |eps| log-uniform in this range,
 KAPPA_MIN_SEP = 0.15  # ... and (mu, eps) with |mu^2 - eps| >= KAPPA_MIN_SEP max(|mu|^2, |eps|)
 
 
-def batch_verify(n_samples: int, seed: int = 0, mu_abs: float = 0.1,
-                 eps_abs_range: tuple[float, float] = (1e-4, 1e-2)) -> dict:
+def batch_verify(n_samples: int, seed: int = 0) -> dict:
     """Cocycle residuals over random ramified samples.
 
     Samples stay away from the ramification locus (|mu^2 - eps| bounded
@@ -569,9 +563,9 @@ def batch_verify(n_samples: int, seed: int = 0, mu_abs: float = 0.1,
     attempts = 0
     while len(rows) < n_samples and attempts < 50 * n_samples:
         attempts += 1
-        mu = mu_abs * math.sqrt(rng.uniform(0.01, 1.0)) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-        eps_mod = math.exp(rng.uniform(math.log(eps_abs_range[0]),
-                                       math.log(eps_abs_range[1])))
+        mu = (KAPPA_MU_ABS * math.sqrt(rng.uniform(0.01, 1.0))
+              * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        eps_mod = math.exp(rng.uniform(math.log(KAPPA_EPS_ABS[0]), math.log(KAPPA_EPS_ABS[1])))
         eps = eps_mod * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         if abs(mu * mu - eps) < KAPPA_MIN_SEP * max(abs(mu) ** 2, abs(eps)):
             continue

@@ -298,6 +298,43 @@ def test_numeric_options_checked_first(args, message, tmp_path, monkeypatch, cap
     assert not (tmp_path / "o").exists()
 
 
+INVARIANTS = {"h": [0.01, 0.0], "lambda": [0.0, 0.0], "alpha": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("args, message, wrote", [
+    (["portrait", "--mu", "0.06", "--eps", "0.001", "--omega", "0"],
+     "must be nonzero with |arg omega| < eta", False),
+    (["portrait", "--mu", "0.06", "--eps", "0.001", "--L", "10"],
+     "annulus constants violate the contraction inequality (sup|s r| = 0)", False),
+    (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "5"],
+     "annulus constants violate the contraction inequality (sup|s r| = 3.53", False),
+    (["normalform", "missing.json"], "bad invariants file: [Errno 2]", False),
+    (["normalform", "inv.json", "--variant", "b"], "b-form needs --param", False),
+    (["portrait", "--mu", "0.06", "--eps", "0.001", "--grid", "1"], "--grid must be >= 2", False),
+    (["kappa", "--samples", "3"], "gamma-pole saturation above 10%", True),
+])
+def test_refusals_take_their_exit_code_from_the_table(args, message, wrote, tmp_path,
+                                                      monkeypatch, capsys):
+    """Every refusal of a command line is one ``error:`` line from main, with
+    the exit code of ``EXIT_CODES``: 2, or what the table is changed to.
+    Only kappa's pole saturation comes after the work, its report written."""
+    import resunfold.cli as cli
+    real = cli.batch_verify
+    monkeypatch.setattr(cli, "batch_verify",
+                        lambda n, seed: {**real(n, seed=seed), "pole_fraction": 0.5})
+    (tmp_path / "inv.json").write_text(json.dumps(INVARIANTS))
+    monkeypatch.chdir(tmp_path)
+    for code in (2, 9):
+        monkeypatch.setitem(cli.EXIT_CODES, cli.UsageError, code)
+        out = tmp_path / f"o{code}"
+        assert main(["--out", str(out), *args]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert out.exists() == wrote
+    if wrote:
+        assert json.loads((out / "kappa_report.json").read_text())["pole_fraction"] == 0.5
+
+
 @pytest.mark.parametrize("command", ["invariants", "equiv"])
 def test_contour_too_close_exit_parse(command, tmp_path, capsys):
     """A validity radius too small for a contour around both zeros of h is

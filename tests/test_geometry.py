@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_confluent_capture_time_from_closed_form():
     cfg = DomainConfig()
     h = cfg.trace_step
     xi_in = 4.0 * math.sqrt(1e4 - 1.0 / 0.09)
-    rec = trace_trajectory(0.3j, 1.0, rp, cfg, xi_max=450.0)
+    rec = trace_trajectory(0.3j, 1.0, rp, dataclasses.replace(cfg, xi_max=450.0))
     assert rec.terminal == "converged" and rec.target == 0.0
     assert abs(rec.xi[-1] - (math.ceil(xi_in / h) + 4) * h) < 0.5 * h
     assert 399.0 < xi_in < 400.0
@@ -243,8 +244,8 @@ def test_confluent_labels_from_closed_form():
     assert np.all(side[lab == REGION_INNER] < 0) and np.all(side[lab == REGION_INNER_P] > 0)
     clear = np.flatnonzero(np.abs(np.abs(side) - 1.0 / cfg.delta_s) > 0.2)
     for k in clear[::20]:
-        ends = [trace_trajectory(pts[k], omega, rp, cfg, direction=d, xi_max=600.0).terminal
-                for d in (1, -1)]
+        ends = [trace_trajectory(pts[k], omega, rp, dataclasses.replace(cfg, xi_max=600.0),
+                                 direction=d).terminal for d in (1, -1)]
         assert (ends == ["converged", "converged"]) == (lab[k] != 0)
 
 
@@ -280,7 +281,7 @@ def test_rk4_step_and_annulus_agree_on_scalars_and_arrays():
 def test_trajectory_equilibrium_is_fixed():
     rp = RamifiedPoint.from_values(0.05, 0.0016)
     cfg = DomainConfig()
-    rec = trace_trajectory(rp.s2, 1.0, rp, cfg, xi_max=5.0)
+    rec = trace_trajectory(rp.s2, 1.0, rp, dataclasses.replace(cfg, xi_max=5.0))
     assert np.max(np.abs(rec.s - rp.s2)) < 1e-12
 
 
@@ -308,8 +309,7 @@ def test_xi_theta_duality_imaginary_axis_seed():
     seeded on the imaginary axis still satisfies the duality until it
     converges, exits, or times out."""
     rp = RamifiedPoint.from_values(0.0, 0.001)
-    rec = trace_trajectory(0.3j, 1.0, rp, DomainConfig(trace_step=0.01),
-                           xi_max=60.0)
+    rec = trace_trajectory(0.3j, 1.0, rp, DomainConfig(trace_step=0.01, xi_max=60.0))
     assert rec.terminal in ("converged", "left-annulus", "max-length")
     res = xi_theta_residuals(rec)
     good = res[~np.isnan(res)]

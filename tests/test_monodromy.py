@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -58,6 +59,42 @@ def test_propagate_rejects_contour_through_singularity():
     s = linear_system(np.eye(2), np.zeros((2, 2)), -1.0, 0.0)
     with pytest.raises(SingularityTooClose):
         propagate(s, Contour.circle(1.0, 1e-4), tol=1e-8)
+
+
+def test_polyline_through_a_zero_of_h_is_refused_before_any_step(monkeypatch):
+    """The zeros of h are +-0.1 and the chord [-1, 1] runs through both: the
+    exact clearance is 0, and propagate refuses before it plans a step.
+    (A clearance sampled at 512 points per segment read 1.96e-4 here, above
+    the threshold 1.585e-4, and the transport failed 600 terms later.)"""
+    s = model_system(0.05, 0.01)
+    line = Contour.polyline([-1.0, 1.0])
+    assert line.min_distance(s.h_roots()) == 0.0
+    monkeypatch.setattr(ParametricSystem, "h_at", lambda self, z: pytest.fail("stepped"))
+    with pytest.raises(SingularityTooClose, match="clearance 0.000e\\+00"):
+        propagate(s, line, tol=1e-9)
+
+
+def test_degenerate_polyline_is_the_identity():
+    """A polyline whose points coincide has no segment: the identity, in 0 steps."""
+    tr = propagate(model_system(0.05, 0.01), Contour.polyline([2.0, 2.0]), tol=1e-9)
+    assert np.array_equal(tr.M, np.eye(2)) and (tr.steps, tr.terms) == (0, ())
+    assert tr.error == tr.trace_error == 0.0
+
+
+def test_circle_clearance_is_exact():
+    """A circle's clearance from p is ||p - c| - R|, for points inside, outside
+    and on it; a polyline's is that of its nearest segment."""
+    c, R = 0.3 - 0.2j, 0.7
+    circle = Contour.circle(c, R)
+    rng = np.random.default_rng(5)
+    pts = [complex(p) for p in rng.normal(size=20) + 1j * rng.normal(size=20)]
+    pts += [c, c + R, c + R * cmath.exp(2.1j)]
+    for p in pts:
+        assert circle.min_distance([p]) == abs(abs(p - c) - R)
+    assert circle.min_distance(pts) == min(abs(abs(p - c) - R) for p in pts)
+    square = Contour.polyline([1, 1j, -1, -1j, 1])
+    assert square.min_distance([0.0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert square.min_distance([2.0, 0.5 + 0.5j]) == 0.0
 
 
 def test_gamma_closed_form_examples():
@@ -361,3 +398,55 @@ def test_step_cap_transport_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_nan_tail_bound_fails_the_step_at_once(monkeypatch, tmp_path):
+    """The base-0.5 transport of the CLI tests has a NaN tail bound by 40
+    terms on every step of its first block.  A step fails at its first
+    non-finite bound, so with the term cap raised to 3,000 the refusal keeps
+    its message and comes in milliseconds (summing to the cap took 14 s)."""
+    import resunfold.monodromy as monodromy
+    from test_cli import decaying_descriptor
+    s = ParametricSystem.load(decaying_descriptor(tmp_path / "d.json", 0.5))
+    monkeypatch.setattr(monodromy, "_MAX_TERMS", 3000)
+    started = time.perf_counter()
+    with pytest.raises(StepUnderflow) as err:
+        propagate(s, auto_contour(s), tol=1e-9)
+    assert time.perf_counter() - started < 2.0
+    assert str(err.value) == "local series did not converge within 3000 terms (tail bound nan)"
+
+
+def test_refusal_names_the_first_failing_step(monkeypatch, tmp_path):
+    """A step whose tail bound turns NaN (the first base-0.5 step, at 36
+    terms) leaves its block at once, but the refusal names the first failing
+    step in step order: behind a step that meets the term cap with a finite
+    bound it waits, and in front of one it is raised."""
+    import resunfold.monodromy as monodromy
+    from test_cli import decaying_descriptor
+    run, blocks = monodromy._taylor_steps, []
+    monkeypatch.setattr(monodromy, "_taylor_steps", lambda *a: blocks.append(a) or run(*a))
+    good = random_system(np.random.default_rng(13))
+    propagate(good, auto_contour(good), tol=1e-9)
+    bad = ParametricSystem.load(decaying_descriptor(tmp_path / "d.json", 0.5))
+    with pytest.raises(StepUnderflow):
+        propagate(bad, auto_contour(bad), tol=1e-9)
+    (*g, tail), (*b, _) = blocks[0], blocks[-1]
+    K = b[0].shape[1]
+
+    def block(*picks):
+        """The picked (arguments, step) lanes as one block, B padded to K terms."""
+        B = np.zeros((len(picks), K, 2, 2), dtype=complex)
+        for i, (args, j) in enumerate(picks):
+            B[i, :args[0].shape[1]] = args[0][j]
+        H0, H1, delta, ra, rb = ([args[k][j] for args, j in picks] for k in range(1, 6))
+        return B, H0, H1, delta, np.array(ra), np.array(rb), tail
+
+    monkeypatch.setattr(monodromy, "_MAX_TERMS", 52)
+    with np.errstate(over="ignore", invalid="ignore"):     # as in propagate
+        with pytest.raises(StepUnderflow, match="within 52 terms") as alone:
+            run(*block((g, 0)))
+        with pytest.raises(StepUnderflow) as behind:
+            run(*block((g, 0), (b, 0)))
+        with pytest.raises(StepUnderflow, match=r"within 52 terms \(tail bound nan\)"):
+            run(*block((b, 0), (g, 0)))
+    assert "nan" not in str(alone.value) and str(behind.value) == str(alone.value)

@@ -135,7 +135,7 @@ def test_backward_recurrence_matches_loop(rng):
 
 def test_solve_p_requires_convergent_trajectory():
     rp = RamifiedPoint.from_values(GENERIC_MU, GENERIC_EPS)
-    rec = trace_trajectory(0.2, 1.0, rp, DomainConfig(), xi_max=0.5)
+    rec = trace_trajectory(0.2, 1.0, rp, DomainConfig(xi_max=0.5))
     assert rec.terminal == "max-length"
     with pytest.raises(ValueError):
         solve_p(rec, None, rp)
