@@ -378,7 +378,7 @@ def cmd_normcheck(args) -> int:
     rp = RamifiedPoint.from_values(mu, eps)
     sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=args.seed_dir,
                                        tol=args.tol)
-    asm = assemble_F(sol_i, sol_j, rp, r=r, interior=0.1)
+    asm = assemble_F(sol_i, sol_j, interior=0.1)
     ratios = sol_i.contraction_ratios
     payload = {
         "mu": mu, "eps": eps, "omega": omega, "sup_sr": sup_sr,
@@ -386,10 +386,10 @@ def cmd_normcheck(args) -> int:
         "contraction_ratio_max": float(np.max(ratios)) if len(ratios) else 0.0,
         "sup_p": sol_i.sup_norm(),
         "p_terminal": abs(sol_i.terminal_value()),
-        "p_residual": p_equation_residual(sol_i, r),
+        "p_residual": p_equation_residual(sol_i),
         "det_rel_std": asm.det_rel_std,
         "kappa_estimate": asm.kappa_estimate,
-        "diag_residual": diagonalization_residual(asm, r),
+        "diag_residual": diagonalization_residual(asm),
     }
     out = _ensure_outdir(args)
     _write_json(payload, os.path.join(out, "normcheck.json"))

@@ -307,23 +307,23 @@ def equilibria(rp: RamifiedPoint) -> list[Equilibrium]:
 class TrajectoryRecord:
     """Uniform-in-xi samples of one real trajectory of omega*chi.
 
+    ``rp`` and ``dxi`` are the ramified point and the step it was traced with.
     ``terminal`` is one of converged / left-annulus / max-length; for a
     converged run ``target`` holds the limiting equilibrium.  ``direction``
     -1 means the field -omega*chi was integrated (a backward trajectory).
     """
 
     omega: complex
-    mu: complex
-    eps: complex
-    xi: np.ndarray
+    rp: RamifiedPoint
+    dxi: float
     s: np.ndarray
     terminal: str
     target: complex | None
     direction: int = 1
 
     @property
-    def dxi(self) -> float:
-        return float(self.xi[1] - self.xi[0]) if len(self.xi) > 1 else 0.0
+    def xi(self) -> np.ndarray:
+        return np.arange(len(self.s)) * self.dxi
 
     def reversed_negated(self) -> "TrajectoryRecord":
         """The arc -s traversed the other way: again a forward trajectory.
@@ -331,11 +331,8 @@ class TrajectoryRecord:
         Maps a connection s_a -> s_b of omega*chi onto the connection
         -s_b -> -s_a, which is what the P-symmetric Picard solve needs.
         """
-        xs = self.xi[-1] - self.xi[::-1]
-        return TrajectoryRecord(self.omega, self.mu, self.eps, xs,
-                                -self.s[::-1], self.terminal,
-                                None if self.target is None else -self.s[0],
-                                self.direction)
+        return replace(self, s=-self.s[::-1],
+                       target=None if self.target is None else -self.s[0])
 
 
 def _in_annulus(s, mu: complex, eps: complex, cfg: DomainConfig):
@@ -382,7 +379,7 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
     h = cfg.trace_step
     n_max = int(cfg.xi_limit / h) + 1
     if mu == 0 and eps == 0:
-        return _confluent_trajectory(complex(s0), omega, mu, eps, cfg, direction, n_max)
+        return _confluent_trajectory(complex(s0), omega, rp, cfg, direction, n_max)
     attracting = _attractors(equilibria(rp), w)
     samples = [complex(s0)]
     s = complex(s0)
@@ -414,12 +411,10 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
             s = s_new
             break
         s = s_new
-    arr = np.asarray(samples)
-    xi = np.arange(len(arr)) * h
-    return TrajectoryRecord(omega, mu, eps, xi, arr, terminal, target, direction)
+    return TrajectoryRecord(omega, rp, h, np.asarray(samples), terminal, target, direction)
 
 
-def _confluent_trajectory(s0: complex, omega: complex, mu: complex, eps: complex,
+def _confluent_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
                           cfg: DomainConfig, direction: int, n_max: int) -> TrajectoryRecord:
     """trace_trajectory at mu = eps = 0, where theta = -2/s solves the flow:
     1/s = 1/s0 - w xi / 4.  Samples that closed form on the xi grid of the
@@ -443,26 +438,24 @@ def _confluent_trajectory(s0: complex, omega: complex, mu: complex, eps: complex
         terminal, target, n = "converged", 0.0, int(k_conv[0])
     elif k_left.size:
         terminal, n = "left-annulus", int(k_left[0])
-    return TrajectoryRecord(omega, mu, eps, xi[:n + 1], s[:n + 1], terminal, target,
+    return TrajectoryRecord(omega, rp, cfg.trace_step, s[:n + 1], terminal, target,
                             direction)
 
 
-def xi_theta_residuals(record: TrajectoryRecord,
-                       branch: RamifiedPoint | None = None) -> np.ndarray:
-    """Per-step residual of omega * dxi = 2 dtheta along the samples.
+def xi_theta_residuals(record: TrajectoryRecord) -> np.ndarray:
+    """Per-step residual of omega * dxi = 2 dtheta along the samples, theta
+    on the branch of the record's ramified point.
 
     Pairs that straddle a theta cut (where the principal branch jumps) are
     reported as NaN so callers can exclude them.
     """
-    mu, eps = record.mu, record.eps
-    if branch is None:
-        branch = RamifiedPoint.from_values(mu, eps)
-    w = record.direction * record.omega
+    mu, eps = record.rp.mu_value, record.rp.eps_value
+    lhs = record.direction * record.omega * record.dxi
     vals = np.empty(len(record.s) - 1, dtype=float)
     th = []
     for s in record.s:
         try:
-            th.append(theta(s, mu, eps, branch))
+            th.append(theta(s, mu, eps, record.rp))
         except OnCut:
             th.append(None)
     for k in range(len(vals)):
@@ -470,7 +463,6 @@ def xi_theta_residuals(record: TrajectoryRecord,
         if a is None or b is None:
             vals[k] = np.nan
             continue
-        lhs = w * (record.xi[k + 1] - record.xi[k])
         rhs = 2.0 * (b - a)
         res = abs(lhs - rhs)
         # a principal-branch jump shows up as a residual of order 1

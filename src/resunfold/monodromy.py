@@ -25,9 +25,9 @@ class SingularityTooClose(ValueError):
 
 
 class StepUnderflow(RuntimeError):
-    """The transport failed: a local Taylor series did not converge within
-    the fixed term cap, a contour needed more than the fixed step cap, or
-    the transport or its error bound overflowed."""
+    """The transport failed: a local Taylor series overflowed or did not
+    converge within the fixed term cap, a contour needed more than the fixed
+    step cap, or the transport or its error bound overflowed."""
 
 
 class UnreliableGamma(ArithmeticError):
@@ -187,8 +187,8 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
     units in the last place of the summed terms, and the number of terms.
     Raises StepUnderflow when a series reaches ``_MAX_TERMS`` terms
     without converging, for the first such step.  A lane whose bound is
-    not finite (its terms overflowed) fails at once, and the error is
-    raised as soon as no earlier step is still running.
+    not finite (its terms overflowed) fails at once with its own term count,
+    and the error is raised as soon as no earlier step is still running.
     """
     N, K = B.shape[:2]
     d = K - 1
@@ -219,7 +219,7 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
     terms = np.zeros(N, dtype=int)
     lane = np.arange(N)                 # the step of each row still running
     largest = np.ones(N)
-    failed = None                       # (step, bound) of the first failed step
+    failed = None                       # (step, bound, terms) of the first failed step
     n = 0
     while lane.size:
         for _ in range(_BATCH):
@@ -262,7 +262,7 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
             elif n >= _MAX_TERMS or not math.isfinite(b):
                 terms[j] = n
                 if failed is None or j < failed[0]:
-                    failed = (j, b)
+                    failed = (j, b, n)
         keep = terms[lane] == 0
         if not keep.all():
             # the two large arrays are compacted in place, without a second copy
@@ -272,8 +272,10 @@ def _taylor_steps(B: np.ndarray, H0: list, H1: list, delta: list,
             lane, largest, rpow, rr = lane[keep], largest[keep], rpow[keep], rr[keep]
             Bcat, J, H0a = Bcat[keep], J[keep], H0a[keep]
         if failed is not None and not (lane.size and lane[0] < failed[0]):
-            raise StepUnderflow(f"local series did not converge within {_MAX_TERMS} "
-                                f"terms (tail bound {failed[1]:.3e})")
+            _, b_fail, n_fail = failed
+            cause = (f"did not converge within {_MAX_TERMS}" if math.isfinite(b_fail)
+                     else f"overflowed after {n_fail}")
+            raise StepUnderflow(f"local series {cause} terms (tail bound {b_fail:.3e})")
     return T, bound, terms
 
 

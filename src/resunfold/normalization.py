@@ -53,7 +53,8 @@ PICARD_RATIO_BOUND = 0.75  # ... and raises ContractionViolated on a slower swee
 
 @dataclass(frozen=True)
 class PSolution:
-    """Fixed point of the integral operator on one trajectory grid.
+    """Fixed point of the integral operator on one trajectory grid, for the
+    series ``r`` (None for r = 0) it was solved with.
 
     ``contraction_history`` records the sup-norm update of every sweep;
     consecutive ratios certify the contraction.  The solution is bounded
@@ -61,6 +62,7 @@ class PSolution:
     """
 
     trajectory: TrajectoryRecord
+    r: CSeries | None
     p: np.ndarray
     contraction_history: list
 
@@ -108,7 +110,7 @@ def _backward_recurrence(log_E: complex, n: int):
     return solve
 
 
-def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12) -> PSolution:
+def solve_p(traj: TrajectoryRecord, r: CSeries | None, tol: float = 1e-12) -> PSolution:
     """Picard iteration for the bounded solution with p(s_i) = 0.
 
     The operator is evaluated on the trajectory's uniform xi grid by
@@ -125,9 +127,7 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12) ->
         raise ValueError("trajectory must converge to an equilibrium")
     if traj.direction != 1:
         raise ValueError("p is solved along forward trajectories")
-    if abs(traj.mu - rp.mu_value) > 1e-12 or abs(traj.eps - rp.eps_value) > 1e-12:
-        raise ValueError("trajectory and ramified point disagree on (mu, eps)")
-    mu, eps = traj.mu, traj.eps
+    mu, eps = traj.rp.mu_value, traj.rp.eps_value
     w = traj.omega
     s = traj.s
     dxi = traj.dxi
@@ -166,17 +166,17 @@ def solve_p(traj: TrajectoryRecord, r, rp: RamifiedPoint, tol: float = 1e-12) ->
         p = p_new
         if delta < tol:
             break
-    return PSolution(traj, p, history)
+    return PSolution(traj, r, p, history)
 
 
-def p_equation_residual(sol: PSolution, r, interior: float = 0.1) -> float:
-    """Max finite-difference residual of the p ODE over interior samples.
+def p_equation_residual(sol: PSolution, interior: float = 0.1) -> float:
+    """Max finite-difference residual of the p ODE (r of the solve) over interior samples.
 
     Central differences on the uniform xi grid; dp/ds = (dp/dxi)/(omega chi).
     """
     traj = sol.trajectory
     s, p = traj.s, sol.p
-    mu, eps = traj.mu, traj.eps
+    mu, eps = traj.rp.mu_value, traj.rp.eps_value
     w = traj.omega
     n = len(s)
     lo, hi = int(n * interior), int(n * (1.0 - interior))
@@ -189,7 +189,7 @@ def p_equation_residual(sol: PSolution, r, interior: float = 0.1) -> float:
     dp_ds = dp_dxi / (w * chi_m)
     hom = 4.0 * sm * sm / ((sm * sm - mu) ** 2 - eps)
     rhs = hom * pm + (1.0 - pm * pm) / (2.0 * sm) \
-        + (1.0 + pm) ** 2 * _eval_r(r, sm * sm - mu)
+        + (1.0 + pm) ** 2 * _eval_r(sol.r, sm * sm - mu)
     return float(np.max(np.abs(dp_ds - rhs)))
 
 
@@ -205,8 +205,8 @@ def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     Seeds at s1 + seed_offset*seed_dir (or at an explicit ``seed_point``
     inside the wanted region), integrates backward until it locks onto the
     repelling end and forward until it converges, and splices both halves
-    into one forward record with a uniform xi grid starting at the
-    repelling end.
+    into one forward record, on the step of the two traces, starting at
+    the repelling end.
     """
     start = rp.s1 + seed_offset * seed_dir if seed_point is None else seed_point
     fwd = trace_trajectory(start, omega, rp, cfg, direction=1)
@@ -216,9 +216,7 @@ def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     if bwd.terminal != "converged":
         raise NoOverlap(f"backward trace ended with '{bwd.terminal}'")
     s_all = np.concatenate([bwd.s[::-1], fwd.s[1:]])
-    xi = np.arange(len(s_all)) * cfg.trace_step
-    return TrajectoryRecord(omega, rp.mu_value, rp.eps_value, xi, s_all,
-                            "converged", fwd.target, 1)
+    return TrajectoryRecord(omega, rp, fwd.dxi, s_all, "converged", fwd.target, 1)
 
 
 def _running_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -246,6 +244,7 @@ class FAssembly:
     """
 
     arc: TrajectoryRecord
+    r: CSeries | None
     F: np.ndarray
     det: np.ndarray
     kappa_estimate: complex
@@ -253,24 +252,24 @@ class FAssembly:
     interior: slice
 
 
-def assemble_F(p_i_sol: PSolution, p_j_sol: PSolution, rp: RamifiedPoint,
-               r=None, interior: float = 0.05) -> FAssembly:
+def assemble_F(p_i_sol: PSolution, p_j_sol: PSolution, interior: float = 0.05) -> FAssembly:
     """Assemble F along the common arc of the two Picard solutions.
 
     ``p_i_sol`` lives on the arc itself (forward to s_i); ``p_j_sol`` on
-    the reversed-negated arc (forward to -s_j).  Alignment of the two
-    grids is checked; the determinant statistics are taken over the
+    the reversed-negated arc (forward to -s_j).  The two must share r and
+    aligned grids; the determinant statistics are taken over the
     interior of the arc, away from the truncated equilibrium ends.
     """
     arc = p_i_sol.trajectory
     other = p_j_sol.trajectory
-    if abs(arc.mu - rp.mu_value) > 1e-12 or abs(arc.eps - rp.eps_value) > 1e-12:
-        raise NoOverlap("arc and ramified point disagree on (mu, eps)")
+    r, r_j = p_i_sol.r, p_j_sol.r
+    if r is not r_j and (r is None or r_j is None or not np.array_equal(r.coeffs, r_j.coeffs)):
+        raise NoOverlap("the two Picard solutions were solved with different r")
     if len(arc.s) != len(other.s) or \
             float(np.max(np.abs(other.s - (-arc.s[::-1])))) > 1e-9:
         raise NoOverlap("p_j solution is not on the reversed-negated arc")
     s = arc.s
-    mu = arc.mu
+    mu, eps = arc.rp.mu_value, arc.rp.eps_value
     p_i = p_i_sol.p
     p_jP = p_j_sol.p[::-1]  # p_j(-s) sample-aligned with the arc
 
@@ -280,7 +279,7 @@ def assemble_F(p_i_sol: PSolution, p_j_sol: PSolution, rp: RamifiedPoint,
 
     # ds = omega chi dxi: integrate in xi on the uniform grid
     w = arc.omega
-    ds_dxi = w * chi(s, mu, arc.eps)
+    ds_dxi = w * chi(s, mu, eps)
 
     I_jP = _running_simpson(2.0 * beta_jP * ds_dxi, arc.dxi)   # from the -s_j end
     I_i_rev = _running_simpson(2.0 * beta_i * ds_dxi, arc.dxi)
@@ -300,11 +299,11 @@ def assemble_F(p_i_sol: PSolution, p_j_sol: PSolution, rp: RamifiedPoint,
     win = slice(lo, hi)
     mean = complex(np.mean(det[win]))
     rel_std = float(np.std(det[win]) / max(1e-300, abs(mean)))
-    return FAssembly(arc, F, det, mean, rel_std, win)
+    return FAssembly(arc, r, F, det, mean, rel_std, win)
 
 
-def diagonalization_residual(asm: FAssembly, r=None) -> float:
-    """Sup-norm defect of F as a diagonalizer of the s-coordinate system.
+def diagonalization_residual(asm: FAssembly) -> float:
+    """Sup-norm defect of F as a diagonalizer of the s-coordinate system (r of asm).
 
     Checks (2/omega) dF/dxi = M(s) F - F D(s) with M the transformed
     system matrix and D its diagonal target; five-point differences on
@@ -312,7 +311,7 @@ def diagonalization_residual(asm: FAssembly, r=None) -> float:
     """
     arc = asm.arc
     s, F = arc.s, asm.F
-    mu, eps, w = arc.mu, arc.eps, arc.omega
+    mu, eps, w = arc.rp.mu_value, arc.rp.eps_value, arc.omega
     n = len(s)
     if n < 9:
         raise ValueError("arc too short")
@@ -321,7 +320,7 @@ def diagonalization_residual(asm: FAssembly, r=None) -> float:
     dF = (-F[k + 2] + 8.0 * F[k + 1] - 8.0 * F[k - 1] + F[k - 2]) / (12.0 * dxi)
     sm = s[k]
     X = (sm * sm - mu) ** 2 - eps
-    r_vals = _eval_r(r, sm * sm - mu)
+    r_vals = _eval_r(asm.r, sm * sm - mu)
     M = np.zeros((len(k), 2, 2), dtype=complex)
     M[:, 0, 0] = 1.0 - X / (4.0 * sm ** 3) + X * r_vals / (2.0 * sm * sm)
     M[:, 0, 1] = X / (4.0 * sm ** 3) + X * r_vals / (2.0 * sm * sm)
@@ -348,7 +347,7 @@ def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
         if d == 0:
             raise NoOverlap("no default seed direction at mu = eps = 0")
         seed_dir = d / abs(d)
-    return _picard_pair(connecting_arc(rp, omega, cfg, seed_dir), r, rp, tol)
+    return _picard_pair(connecting_arc(rp, omega, cfg, seed_dir), r, tol)
 
 
 def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
@@ -364,12 +363,12 @@ def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
         if len(outer) == 0:
             raise NoOverlap("no outer-region points found on the seed grid")
         seed_point = complex(outer[len(outer) // 2])
-    return _picard_pair(connecting_arc(rp, omega, cfg, seed_point=seed_point), r, rp, tol)
+    return _picard_pair(connecting_arc(rp, omega, cfg, seed_point=seed_point), r, tol)
 
 
-def _picard_pair(arc: TrajectoryRecord, r, rp: RamifiedPoint, tol: float):
+def _picard_pair(arc: TrajectoryRecord, r: CSeries | None, tol: float):
     """The Picard solutions on an arc and on its reversed-negated arc."""
-    return solve_p(arc, r, rp, tol=tol), solve_p(arc.reversed_negated(), r, rp, tol=tol)
+    return solve_p(arc, r, tol=tol), solve_p(arc.reversed_negated(), r, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +425,6 @@ class ConnectionData:
     """Connection matrices and coefficients at one ramified parameter point."""
 
     rp: RamifiedPoint
-    a: complex
-    b: complex
     Q: complex
     gamma: complex
     kappa_I: complex
@@ -490,8 +487,7 @@ def connection_data(rp: RamifiedPoint, Q: complex) -> ConnectionData:
     N1 = np.diag([cmath.exp(1j * math.pi * n1), cmath.exp(-1j * math.pi * n1)])
     N2 = np.diag([cmath.exp(-1j * math.pi * n2), cmath.exp(1j * math.pi * n2)])
     N = np.diag([ea, ea_inv])
-    return ConnectionData(rp, a, rp.b, Q,
-                          gamma, kI, kO, k, C0, C1, C2, C3, C4, N, N1, N2)
+    return ConnectionData(rp, Q, gamma, kI, kO, k, C0, C1, C2, C3, C4, N, N1, N2)
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_criterion_06_picard_solver():
         for sol in (sol_i, sol_j):
             ratios = sol.contraction_ratios
             worst_ratio = max(worst_ratio, float(np.max(ratios)))
-            worst_residual = max(worst_residual, p_equation_residual(sol, r))
+            worst_residual = max(worst_residual, p_equation_residual(sol))
             worst_end = max(worst_end, abs(sol.terminal_value()))
             worst_sup = max(worst_sup, sol.sup_norm())
     report("criterion 6 (integral-equation solver)",
@@ -230,14 +230,14 @@ def test_criterion_07_diagonalizer_assembly():
     rp0 = RamifiedPoint.from_values(0.0, 0.0)
     cfg0 = DomainConfig(trace_step=0.01, parabolic_capture=0.02, xi_max=450.0)
     arc = connecting_arc(rp0, 1.0, cfg0, seed_dir=1j, seed_offset=0.3)
-    sol_i = solve_p(arc, None, rp0)
-    sol_j = solve_p(arc.reversed_negated(), None, rp0)
-    asm0 = assemble_F(sol_i, sol_j, rp0, interior=0.1)
+    sol_i = solve_p(arc, None)
+    sol_j = solve_p(arc.reversed_negated(), None)
+    asm0 = assemble_F(sol_i, sol_j, interior=0.1)
     res0 = diagonalization_residual(asm0)
     # generic small (mu, eps)
     rp1 = RamifiedPoint.from_values(0.05, 0.0016)
     sol_i1, sol_j1 = inner_arc_solutions(rp1, 1.0, DomainConfig(trace_step=5e-3))
-    asm1 = assemble_F(sol_i1, sol_j1, rp1)
+    asm1 = assemble_F(sol_i1, sol_j1)
     res1 = diagonalization_residual(asm1)
     report("criterion 7 (diagonalizer assembly)",
            asm0.det_rel_std < 1e-6 and asm1.det_rel_std < 1e-6

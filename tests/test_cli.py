@@ -399,13 +399,13 @@ def decaying_descriptor(path, base, scale=6.0):
 
 @pytest.mark.parametrize("command", ["invariants", "equiv"])
 def test_step_underflow_exit_parse(command, tmp_path, capsys):
-    """At base 0.5 a local Taylor series of the transport does not converge
-    within the term cap: a one-line error with exit 2, no output file."""
+    """At base 0.5 a local Taylor series of the transport overflows before
+    it converges: a one-line error with exit 2, no output file."""
     p = decaying_descriptor(tmp_path / "d.json", 0.5)
     out = tmp_path / "o"
     assert main(["--out", str(out), command, *([p] if command == "invariants" else [p, p])]) == 2
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "did not converge" in err
+    assert len(err.strip().splitlines()) == 1 and "overflowed after 36 terms" in err
     assert not out.exists()
 
 

@@ -403,8 +403,9 @@ def test_step_cap_transport_memory(tmp_path):
 def test_nan_tail_bound_fails_the_step_at_once(monkeypatch, tmp_path):
     """The base-0.5 transport of the CLI tests has a NaN tail bound by 40
     terms on every step of its first block.  A step fails at its first
-    non-finite bound, so with the term cap raised to 3,000 the refusal keeps
-    its message and comes in milliseconds (summing to the cap took 14 s)."""
+    non-finite bound, so with the term cap raised to 3,000 the refusal names
+    the overflow and the step's own term count, and comes in milliseconds
+    (summing to the cap took 14 s)."""
     import resunfold.monodromy as monodromy
     from test_cli import decaying_descriptor
     s = ParametricSystem.load(decaying_descriptor(tmp_path / "d.json", 0.5))
@@ -413,7 +414,7 @@ def test_nan_tail_bound_fails_the_step_at_once(monkeypatch, tmp_path):
     with pytest.raises(StepUnderflow) as err:
         propagate(s, auto_contour(s), tol=1e-9)
     assert time.perf_counter() - started < 2.0
-    assert str(err.value) == "local series did not converge within 3000 terms (tail bound nan)"
+    assert str(err.value) == "local series overflowed after 36 terms (tail bound nan)"
 
 
 def test_refusal_names_the_first_failing_step(monkeypatch, tmp_path):
@@ -447,6 +448,6 @@ def test_refusal_names_the_first_failing_step(monkeypatch, tmp_path):
             run(*block((g, 0)))
         with pytest.raises(StepUnderflow) as behind:
             run(*block((g, 0), (b, 0)))
-        with pytest.raises(StepUnderflow, match=r"within 52 terms \(tail bound nan\)"):
+        with pytest.raises(StepUnderflow, match=r"overflowed after 36 terms \(tail bound nan\)"):
             run(*block((b, 0), (g, 0)))
     assert "nan" not in str(alone.value) and str(behind.value) == str(alone.value)

@@ -43,8 +43,8 @@ def parabolic_arc_solutions():
     rp = RamifiedPoint.from_values(0.0, 0.0)
     cfg = DomainConfig(trace_step=0.01, parabolic_capture=0.02, xi_max=450.0)
     arc = connecting_arc(rp, 1.0, cfg, seed_dir=1j, seed_offset=0.3)
-    sol_i = solve_p(arc, None, rp)
-    sol_j = solve_p(arc.reversed_negated(), None, rp)
+    sol_i = solve_p(arc, None)
+    sol_j = solve_p(arc.reversed_negated(), None)
     return rp, sol_i, sol_j
 
 
@@ -63,8 +63,18 @@ def test_picard_contraction_and_bounds(generic_arc_solutions):
 
 def test_picard_ode_residual(generic_arc_solutions):
     _, sol_i, sol_j = generic_arc_solutions
-    assert p_equation_residual(sol_i, None) < 1e-4
-    assert p_equation_residual(sol_j, None) < 1e-4
+    assert p_equation_residual(sol_i) < 1e-4
+    assert p_equation_residual(sol_j) < 1e-4
+
+
+def test_reversed_arc_keeps_the_exact_step(generic_arc_solutions):
+    """The p_j solve runs on the reversed-negated arc with the trace step
+    itself, not a difference of two xi samples, and xi is its grid."""
+    _, sol_i, sol_j = generic_arc_solutions
+    for rec in (sol_i.trajectory, sol_j.trajectory):
+        assert rec.dxi == 5e-3
+        assert np.array_equal(rec.xi, np.arange(len(rec.s)) * rec.dxi)
+    assert sol_j.trajectory.rp is sol_i.trajectory.rp
 
 
 def test_picard_against_ode_shooting(parabolic_arc_solutions):
@@ -94,17 +104,47 @@ def test_picard_against_ode_shooting(parabolic_arc_solutions):
     assert np.max(np.abs(p_ode[lo:hi] - sol_i.p[lo:hi])) < 1e-5
 
 
-def test_picard_with_nonzero_r():
+CRIT6_R = CSeries([0.1, 0.05, -0.02j], 24)
+
+
+@pytest.fixture(scope="module")
+def r_arc_solutions():
     rp = RamifiedPoint.from_values(GENERIC_MU, GENERIC_EPS)
-    cfg = DomainConfig(trace_step=5e-3)
-    r = CSeries([0.1, 0.05, -0.02j], 24)
-    sol_i, sol_j = inner_arc_solutions(rp, 1.0, cfg, r=r)
+    return inner_arc_solutions(rp, 1.0, DomainConfig(trace_step=5e-3), r=CRIT6_R)
+
+
+def test_picard_with_nonzero_r(r_arc_solutions):
+    sol_i, sol_j = r_arc_solutions
     assert float(np.max(sol_i.contraction_ratios)) <= 0.55
     assert sol_i.sup_norm() <= 1.0
-    assert p_equation_residual(sol_i, r) < 1e-4
-    asm = assemble_F(sol_i, sol_j, rp, r=r)
+    assert p_equation_residual(sol_i) < 1e-4
+    asm = assemble_F(sol_i, sol_j)
     assert asm.det_rel_std < 1e-6
-    assert diagonalization_residual(asm, r) < 1e-6
+    assert diagonalization_residual(asm) < 1e-6
+
+
+def test_residual_checks_read_r_from_the_solve(r_arc_solutions):
+    """The r of the solve reaches both residual checks without being passed
+    again: checked with r = 0 instead, they read about 0.1 and 2e-3."""
+    sol_i, sol_j = r_arc_solutions
+    assert sol_i.r is CRIT6_R and sol_j.r is CRIT6_R
+    asm = assemble_F(sol_i, sol_j)
+    assert asm.r is CRIT6_R
+    assert p_equation_residual(sol_i) < 1e-4 and p_equation_residual(sol_j) < 1e-4
+    assert diagonalization_residual(asm) < 1e-6
+
+
+def test_assembly_rejects_solutions_with_different_r(generic_arc_solutions, r_arc_solutions):
+    """Two solutions on one arc pair, solved with different r, have no common F."""
+    _, sol_i, sol_j = generic_arc_solutions
+    sol_j_r = solve_p(sol_i.trajectory.reversed_negated(), CRIT6_R)
+    with pytest.raises(NoOverlap, match="different r"):
+        assemble_F(sol_i, sol_j_r)
+    with pytest.raises(NoOverlap, match="different r"):
+        assemble_F(r_arc_solutions[0], sol_j)
+    other_r = CSeries([0.1, 0.05, 0.02j], 24)
+    with pytest.raises(NoOverlap, match="different r"):
+        assemble_F(r_arc_solutions[0], solve_p(sol_j_r.trajectory, other_r))
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -138,7 +178,7 @@ def test_solve_p_requires_convergent_trajectory():
     rec = trace_trajectory(0.2, 1.0, rp, DomainConfig(xi_max=0.5))
     assert rec.terminal == "max-length"
     with pytest.raises(ValueError):
-        solve_p(rec, None, rp)
+        solve_p(rec, None)
 
 
 def test_solve_p_contraction_violation():
@@ -147,7 +187,7 @@ def test_solve_p_contraction_violation():
     rec = trace_trajectory(0.2, 1.0, rp, DomainConfig())
     big_r = CSeries([40.0], 8)
     with pytest.raises(ContractionViolated):
-        solve_p(rec, big_r, rp)
+        solve_p(rec, big_r)
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +195,24 @@ def test_solve_p_contraction_violation():
 
 
 def test_assembly_generic(generic_arc_solutions):
-    rp, sol_i, sol_j = generic_arc_solutions
-    asm = assemble_F(sol_i, sol_j, rp)
+    _, sol_i, sol_j = generic_arc_solutions
+    asm = assemble_F(sol_i, sol_j)
     assert asm.det_rel_std < 1e-6
     assert diagonalization_residual(asm) < 1e-6
     assert np.max(np.abs(sol_i.p)) <= 1.0 and np.max(np.abs(sol_j.p)) <= 1.0
 
 
 def test_assembly_parabolic(parabolic_arc_solutions):
-    rp, sol_i, sol_j = parabolic_arc_solutions
-    asm = assemble_F(sol_i, sol_j, rp, interior=0.1)
+    _, sol_i, sol_j = parabolic_arc_solutions
+    asm = assemble_F(sol_i, sol_j, interior=0.1)
     assert asm.det_rel_std < 1e-6
     assert diagonalization_residual(asm) < 1e-6
 
 
 def test_assembly_rejects_mismatched_arcs(generic_arc_solutions):
-    rp, sol_i, _ = generic_arc_solutions
+    _, sol_i, _ = generic_arc_solutions
     with pytest.raises(NoOverlap):
-        assemble_F(sol_i, sol_i, rp)
+        assemble_F(sol_i, sol_i)
 
 
 def test_assembly_endpoint_normalization(generic_arc_solutions):
@@ -180,8 +220,8 @@ def test_assembly_endpoint_normalization(generic_arc_solutions):
     at the attracting end: the off-diagonal entries vanish there because
     the field vanishes at both equilibria and the tail weight damps the
     mid-arc contribution."""
-    rp, sol_i, sol_j = generic_arc_solutions
-    asm = assemble_F(sol_i, sol_j, rp)
+    _, sol_i, sol_j = generic_arc_solutions
+    asm = assemble_F(sol_i, sol_j)
     k = asm.kappa_estimate
     F0, F1 = asm.F[0], asm.F[-1]
     assert abs(F0[0, 1]) < 1e-8 and abs(F0[1, 0]) < 1e-8
@@ -195,7 +235,7 @@ def outer_arc_assembly():
     rp = RamifiedPoint.from_values(GENERIC_MU, GENERIC_EPS)
     cfg = DomainConfig(trace_step=5e-3)
     sol_i, sol_j = outer_arc_solutions(rp, 1.0, cfg)
-    return rp, assemble_F(sol_i, sol_j, rp)
+    return rp, assemble_F(sol_i, sol_j)
 
 
 def test_outer_arc_assembly(outer_arc_assembly):
@@ -214,7 +254,7 @@ def test_assembled_kappas_match_gamma_formulas(outer_arc_assembly):
     rp, asm_outer = outer_arc_assembly
     cfg = DomainConfig(trace_step=5e-3)
     sol_i, sol_j = inner_arc_solutions(rp, 1.0, cfg)
-    asm_inner = assemble_F(sol_i, sol_j, rp)
+    asm_inner = assemble_F(sol_i, sol_j)
     kI_f, kO_f, k_f = kappa_formulas(rp, 0.0)
     assert abs(asm_inner.kappa_estimate - kI_f) < 1e-7
     assert abs(asm_outer.kappa_estimate - kO_f) < 1e-7
@@ -228,10 +268,10 @@ def test_kappa_inner_continuation_identity():
     rp = RamifiedPoint.from_values(0.06, 0.001)
     cfg = DomainConfig(trace_step=5e-3)
     si, sj = inner_arc_solutions(rp, 1.0, cfg)
-    k_base = assemble_F(si, sj, rp).kappa_estimate
+    k_base = assemble_F(si, sj).kappa_estimate
     rho = rp.rho_image()
     si_r, sj_r = inner_arc_solutions(rho, 1.0, cfg)
-    k_rho = assemble_F(si_r, sj_r, rho).kappa_estimate
+    k_rho = assemble_F(si_r, sj_r).kappa_estimate
     assert abs(k_base - k_rho) < 1e-9 * max(1.0, abs(k_base))
 
 
@@ -334,7 +374,7 @@ def test_connection_data_carries_kappa_formulas():
     data = connection_data(rp, Q)
     assert (data.kappa_I, data.kappa_O, data.kappa) == kappa_formulas(rp, Q)
     assert data.Q == Q and data.gamma == 2.0 * cmath.cos(2.0 * math.pi * Q)
-    assert (data.a, data.b) == (rp.a, rp.b)
+    assert data.rp is rp
 
 
 def _counting(monkeypatch, name):
