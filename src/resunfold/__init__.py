@@ -25,11 +25,9 @@ from .algebra import (
 from .system import (
     BadDescriptor,
     GaugeTransform,
-    NotAnUnfoldingBase,
     ParametricSystem,
     SingularGauge,
     gauge_apply,
-    genericity_check,
 )
 from .invariants import (
     FormalInvariants,

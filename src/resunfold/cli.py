@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: invariants, equiv, normalform, portrait, kappa, normcheck.
-Every run writes a manifest echo next to its outputs so results are
-reproducible from the recorded arguments alone.
+Each writes its files through ``_emit`` once its work has succeeded, then a
+manifest echo of its arguments, which alone reproduce the results.
 
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
 error (including an invalid system descriptor or invariants file, a
@@ -39,9 +39,6 @@ from .geometry import (
     count_components,
     equilibria,
     trace_trajectory,
-    write_bifurcations_csv,
-    write_regions_csv,
-    write_trajectories_csv,
 )
 from .invariants import (
     FormalInvariants,
@@ -72,6 +69,7 @@ from .system import BadDescriptor, ParametricSystem
 from .algebra import CSeries
 
 SCHEMA_VERSION = 1
+CSV_SCHEMA = "resunfold-csv/1"
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -127,35 +125,45 @@ def _jsonable(obj):
         return [_round_sig(obj.real), _round_sig(obj.imag)]
     if isinstance(obj, float):
         return _round_sig(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round_sig(float(obj))
-    if isinstance(obj, (np.complexfloating,)):
-        return [_round_sig(float(obj.real)), _round_sig(float(obj.imag))]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
-def _write_json(payload: dict, path: str) -> None:
-    payload = dict(payload)
-    payload.setdefault("schema_version", SCHEMA_VERSION)
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=1)
-        fh.write("\n")
-
-
-def _write_manifest(args, out_dir: str, outputs: list) -> None:
+def _emit(args, outputs: dict, echo) -> None:
+    """Write ``outputs`` into ``--out`` in order, then the manifest listing
+    them, then print ``echo`` (text, or a payload as one JSON line).  Each
+    file name maps to text, a JSON payload (dict), or a CSV table
+    ``(header, rows)``; JSON numbers and float cells get 12 significant
+    digits."""
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
         "argv": args.argv,
-        "outputs": outputs,
+        "outputs": list(outputs),
         "tol": getattr(args, "tol", None),
         "gamma_tol": getattr(args, "gamma_tol", None),
         "order": getattr(args, "order", None),
         "seed": getattr(args, "seed", None),
     }
-    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    for name, content in {**outputs, "manifest.json": manifest}.items():
+        with open(os.path.join(out, name), "w") as fh:
+            if isinstance(content, str):
+                fh.write(content)
+            elif isinstance(content, dict):
+                payload = dict(content)
+                payload.setdefault("schema_version", SCHEMA_VERSION)
+                json.dump(_jsonable(payload), fh, indent=1)
+                fh.write("\n")
+            else:
+                header, rows = content
+                fh.write(f"# schema={CSV_SCHEMA}\n{header}\n")
+                line = None  # one %-format per table, typed by its first row
+                for row in rows:
+                    line = line or ",".join("%.12g" if isinstance(c, float) else "%s"
+                                            for c in row) + "\n"
+                    fh.write(line % row)
+    print(echo if isinstance(echo, str) else json.dumps(_jsonable(echo)))
 
 
 def _parse_complex(text: str) -> complex:
@@ -202,12 +210,6 @@ def _load_germ(path) -> ParametricSystem:
     return system
 
 
-def _ensure_outdir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -228,11 +230,7 @@ def cmd_invariants(args) -> int:
         "gamma": res.gamma,
         "est_error": res.est_error,
     }
-    out = _ensure_outdir(args)
-    path = os.path.join(out, "invariants.json")
-    _write_json(payload, path)
-    _write_manifest(args, out, ["invariants.json"])
-    print(json.dumps(_jsonable(payload)))
+    _emit(args, {"invariants.json": payload}, payload)
     return EXIT_OK
 
 
@@ -242,11 +240,7 @@ def cmd_equiv(args) -> int:
     verdict, report = decide_equivalence(sys_a, sys_b, tol=args.tol,
                                          gamma_tol=args.gamma_tol,
                                          validity_radius=args.validity_radius)
-    out = _ensure_outdir(args)
-    payload = {"verdict": verdict, **report}
-    _write_json(payload, os.path.join(out, "equiv.json"))
-    _write_manifest(args, out, ["equiv.json"])
-    print(verdict)
+    _emit(args, {"equiv.json": {"verdict": verdict, **report}}, verdict)
     return {"Equivalent": EXIT_OK, "NotEquivalent": EXIT_NOT_EQUIVALENT,
             "Indeterminate": EXIT_INDETERMINATE}[verdict]
 
@@ -276,14 +270,10 @@ def cmd_normalform(args) -> int:
         b = args.param
         system = build_b_form(F, b, order=args.order)
         param_out = {"b": b}
-    out = _ensure_outdir(args)
-    path = os.path.join(out, "normalform.json")
+    # the descriptor keeps its coefficients unrounded
     descriptor = system.to_descriptor()
     descriptor.update(_jsonable(param_out))
-    with open(path, "w") as fh:
-        json.dump(descriptor, fh, indent=1)
-    _write_manifest(args, out, ["normalform.json"])
-    print(json.dumps(_jsonable(param_out)))
+    _emit(args, {"normalform.json": json.dumps(descriptor, indent=1)}, param_out)
     return EXIT_OK
 
 
@@ -291,11 +281,9 @@ def cmd_portrait(args) -> int:
     mu, eps = args.mu, args.eps
     omega, cfg = _flow_domain(args)
     rp = RamifiedPoint.from_values(mu, eps)
-    out = _ensure_outdir(args)
 
     n = args.grid
     pts, labels = classify_regions(rp, omega, cfg, grid=(n, n))
-    write_regions_csv(pts, labels, os.path.join(out, "regions.csv"))
 
     rng = np.random.default_rng(args.seed)
     # separatrix fan: short offsets around each singular point of the field
@@ -311,11 +299,8 @@ def cmd_portrait(args) -> int:
             seeds.append(z)
 
     records = [trace_trajectory(seed, omega, rp, cfg) for seed in seeds]
-    write_trajectories_csv(records, os.path.join(out, "trajectories.csv"),
-                           stride=max(1, int(0.05 / cfg.trace_step)))
-
+    stride = max(1, int(0.05 / cfg.trace_step))
     curves = bifurcation_sets(eps, resolution=200)
-    write_bifurcations_csv(curves, os.path.join(out, "bifurcations.csv"))
 
     outer_mask = (labels == REGION_OUTER) | (labels == REGION_OUTER_P)
     # outer points hugging |s| = delta_s signal the outer-region bifurcation
@@ -336,10 +321,17 @@ def cmd_portrait(args) -> int:
         "outer_empty": bool(not outer_mask.any()),
         "outer_boundary_touching": bool(boundary_touch),
     }
-    _write_json(summary, os.path.join(out, "summary.json"))
-    _write_manifest(args, out, ["regions.csv", "trajectories.csv",
-                                "bifurcations.csv", "summary.json"])
-    print(json.dumps(_jsonable(summary["label_counts"])))
+    _emit(args, {
+        "regions.csv": ("re_s,im_s,label",
+                        ((p.real, p.imag, REGION_NAMES[int(l)]) for p, l in zip(pts, labels))),
+        "trajectories.csv": ("traj,xi,re_s,im_s",
+                             ((k, xi, s.real, s.imag) for k, rec in enumerate(records)
+                              for xi, s in zip(rec.xi[::stride], rec.s[::stride]))),
+        "bifurcations.csv": ("curve,re_mu,im_mu",
+                             ((name, m.real, m.imag) for name, arr in curves.items()
+                              for m in arr)),
+        "summary.json": summary,
+    }, summary["label_counts"])
     return EXIT_OK
 
 
@@ -356,10 +348,8 @@ def cmd_kappa(args) -> int:
     }
     if args.no_rows:
         report.pop("rows")
-    out = _ensure_outdir(args)
-    _write_json(report, os.path.join(out, "kappa_report.json"))
-    _write_manifest(args, out, ["kappa_report.json"])
-    print(json.dumps(_jsonable({k: v["max"] for k, v in report["residuals"].items()})))
+    _emit(args, {"kappa_report.json": report},
+          {k: v["max"] for k, v in report["residuals"].items()})
     if report["pole_fraction"] > 0.10:
         raise UsageError("gamma-pole saturation above 10%")
     return EXIT_OK
@@ -391,12 +381,8 @@ def cmd_normcheck(args) -> int:
         "kappa_estimate": asm.kappa_estimate,
         "diag_residual": diagonalization_residual(asm),
     }
-    out = _ensure_outdir(args)
-    _write_json(payload, os.path.join(out, "normcheck.json"))
-    _write_manifest(args, out, ["normcheck.json"])
-    print(json.dumps(_jsonable({k: payload[k] for k in
-                                ("contraction_ratio_max", "det_rel_std",
-                                 "diag_residual")})))
+    _emit(args, {"normcheck.json": payload},
+          {k: payload[k] for k in ("contraction_ratio_max", "det_rel_std", "diag_residual")})
     return EXIT_OK
 
 

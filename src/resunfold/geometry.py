@@ -722,35 +722,3 @@ def stability_sweep(mu_path, eps: complex) -> np.ndarray:
         s2_prev = s2
     return out
 
-
-# ---------------------------------------------------------------------------
-# CSV emitters
-
-
-CSV_SCHEMA = "resunfold-csv/1"
-
-
-def write_trajectories_csv(records: list[TrajectoryRecord], path, stride: int = 1) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# schema={CSV_SCHEMA}\n")
-        fh.write("traj,xi,re_s,im_s\n")
-        for k, rec in enumerate(records):
-            for xi, s in zip(rec.xi[::stride], rec.s[::stride]):
-                fh.write(f"{k},{xi:.12g},{s.real:.12g},{s.imag:.12g}\n")
-
-
-def write_regions_csv(points: np.ndarray, labels: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# schema={CSV_SCHEMA}\n")
-        fh.write("re_s,im_s,label\n")
-        for p, l in zip(points, labels):
-            fh.write(f"{p.real:.12g},{p.imag:.12g},{REGION_NAMES[int(l)]}\n")
-
-
-def write_bifurcations_csv(curves: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# schema={CSV_SCHEMA}\n")
-        fh.write("curve,re_mu,im_mu\n")
-        for name, arr in curves.items():
-            for mu in np.atleast_1d(arr):
-                fh.write(f"{name},{mu.real:.12g},{mu.imag:.12g}\n")

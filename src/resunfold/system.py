@@ -1,5 +1,5 @@
 """Parametric systems h(z) d/dz - A(z), gauge transformations, and the
-genericity test for unfolding bases.
+JSON descriptor format.
 
 A system lives at a single evaluated parameter point: family behaviour is
 exercised by mapping over explicit parameter grids.
@@ -22,10 +22,6 @@ class SingularGauge(ValueError):
 
 class BadDescriptor(ValueError):
     """A system descriptor that cannot be read or fails validation."""
-
-
-class NotAnUnfoldingBase(ValueError):
-    """System at parameter 0 is not a resonant Jordan-type unfolding base."""
 
 
 @dataclass(frozen=True)
@@ -134,24 +130,3 @@ def gauge_apply(T: GaugeTransform, system: ParametricSystem) -> ParametricSystem
     a_new = (tinv @ system.A @ t) - (tinv @ t.deriv()).scale(h)
     return ParametricSystem(system.h0, system.h1, a_new)
 
-
-def genericity_check(system: ParametricSystem, tol: float = 1e-8):
-    """Slope test at an unfolding base (parameter 0).
-
-    Requires h = z^2 and A(0) similar to a resonant Jordan block; returns
-    ``(is_generic, slope)`` where slope = -d/dz det(A(z) - lambda0 I) at
-    z = 0 and genericity means ``|slope| > tol``.
-    """
-    if abs(system.h0) > 1e-10 or abs(system.h1) > 1e-10:
-        raise NotAnUnfoldingBase("h must equal z^2 at the base parameter")
-    a0 = system.A.coeffs[0]
-    lam0 = (a0[0, 0] + a0[1, 1]) / 2.0
-    scale = max(1.0, float(np.max(np.abs(a0))))
-    disc = (a0[0, 0] - a0[1, 1]) ** 2 + 4.0 * a0[0, 1] * a0[1, 0]
-    if abs(disc) > 1e-8 * scale * scale:
-        raise NotAnUnfoldingBase("A(0) must have a double eigenvalue")
-    if float(np.max(np.abs(a0 - lam0 * np.eye(2)))) <= 1e-12 * scale:
-        raise NotAnUnfoldingBase("A(0) must not be scalar")
-    d = (system.A - CSeries.constant(lam0, system.order)).det()
-    slope = -d.coeffs[1] if d.order > 1 else 0.0
-    return bool(abs(slope) > tol), slope

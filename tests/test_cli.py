@@ -335,6 +335,42 @@ def test_refusals_take_their_exit_code_from_the_table(args, message, wrote, tmp_
         assert json.loads((out / "kappa_report.json").read_text())["pole_fraction"] == 0.5
 
 
+@pytest.mark.parametrize("argv, outputs", [
+    (["invariants", "m.json"], ["invariants.json"]),
+    (["equiv", "m.json", "m.json"], ["equiv.json"]),
+    (["normalform", "inv.json"], ["normalform.json"]),
+    (["portrait", "--mu", "0.06", "--eps", "0.001", "--grid", "11", "--trajectories", "1"],
+     ["regions.csv", "trajectories.csv", "bifurcations.csv", "summary.json"]),
+    (["kappa", "--samples", "5", "--no-rows"], ["kappa_report.json"]),
+    (["normcheck", "--mu=0.05", "--eps=0.0016"], ["normcheck.json"]),
+])
+def test_manifest_lists_exactly_what_was_written(argv, outputs, tmp_path, monkeypatch):
+    """After a successful run the out dir holds the manifest and exactly
+    the files it lists, in the command's order."""
+    model_system(0.1, 0.01).save(tmp_path / "m.json")
+    (tmp_path / "inv.json").write_text(json.dumps({**INVARIANTS, "gamma": [-1.2, 0.3]}))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), *argv]) == 0
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == outputs
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+
+
+def test_portrait_writes_nothing_when_a_later_stage_fails(tmp_path, monkeypatch):
+    """The files of a command are written once all of its work has
+    succeeded: a failure after the regions are classified leaves no
+    regions.csv behind."""
+    import resunfold.cli as cli
+
+    def fail(*a, **k):
+        raise cli.UsageError("late failure")
+    monkeypatch.setattr(cli, "bifurcation_sets", fail)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "portrait", "--mu", "0.06", "--eps", "0.001",
+                 "--grid", "11", "--trajectories", "1"]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["invariants", "equiv"])
 def test_contour_too_close_exit_parse(command, tmp_path, capsys):
     """A validity radius too small for a contour around both zeros of h is
@@ -351,20 +387,23 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # flow-layer runs whose outputs were written by the CLI before the two RK4
-# loops shared one step; trajectories.csv (1.26 MB) is kept as its SHA-256
+# loops shared one step (bifurcations.csv and kappa's report: before every
+# command wrote through one emitter); trajectories.csv (1.26 MB) is kept as
+# its SHA-256
 FLOW_RUNS = {
     "portrait": ["--seed", "1", "portrait", "--mu=0.05,0.02", "--eps=0.0016,0.0005",
                  "--omega-arg=-0.3", "--grid", "21", "--trajectories", "2"],
     "normcheck": ["normcheck", "--mu=0.05", "--eps=0.0016"],
+    "kappa": ["--seed", "3", "kappa", "--samples", "20", "--no-rows"],
 }
 
 
-@pytest.mark.parametrize("name", ["model", "random", "portrait", "normcheck"])
+@pytest.mark.parametrize("name", ["model", "random", "portrait", "normcheck", "kappa"])
 def test_outputs_keep_golden_bytes(name, tmp_path):
     """invariants -> normalform -> equiv on a model and a random K=24
     descriptor reproduces files written by the CLI before series matrices
     became (K, 2, 2) arrays, byte for byte; so does a descriptor round trip.
-    portrait and normcheck reproduce the files of ``FLOW_RUNS``."""
+    portrait, normcheck and kappa reproduce the files of ``FLOW_RUNS``."""
     d, out = GOLDEN / name, tmp_path / "o"
     if name in FLOW_RUNS:
         assert main(["--out", str(out), *FLOW_RUNS[name]]) == 0

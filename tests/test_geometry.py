@@ -64,6 +64,19 @@ def test_ramified_point_standard_branch():
     assert abs(rp.s2 - math.sqrt(0.2)) < 1e-15
 
 
+def test_a_at_eps_zero_is_the_limit():
+    """At eps = 0, a is 1/(2 sqrt mu), the limit of (s1 - s2)/(2 sqrt eps):
+    a = (1 + eps / (8 mu^2) + O(eps^2)) / (2 sqrt mu) as |eps| -> 0."""
+    for mu in (0.09, 0.05 + 0.02j, -0.04 + 0.01j):
+        a0 = RamifiedPoint.from_values(mu, 0.0).a
+        assert abs(a0 - 1.0 / (2.0 * cmath.sqrt(mu))) < 1e-15
+        for t in (1e-6, 1e-8):
+            for phase in (1.0, 1j, -1.0 + 0.5j):
+                eps = t * phase
+                gap = RamifiedPoint.from_values(mu, eps).a / a0 - 1.0
+                assert abs(gap - eps / (8.0 * mu * mu)) < 1e-3 * abs(eps / (mu * mu))
+
+
 def test_sigma_rho_actions(rng):
     mu, eps = random_generic_point(rng)
     rp = RamifiedPoint.from_values(mu, eps)

@@ -419,6 +419,26 @@ def test_batch_cocycles(rng):
         assert stats["max"] < 1e-8, (key, stats)
 
 
+def test_batch_verify_skips_gamma_poles(monkeypatch):
+    """A sample that hits a Gamma pole is skipped: the report still holds
+    n samples, and its pole fraction is poles over attempts."""
+    calls = []
+
+    def verify(rp, Q):
+        calls.append(Q)
+        if len(calls) % 3 == 0:
+            raise GammaPole("pole")
+        return {"eq11": float(len(calls))}
+    monkeypatch.setattr(normalization, "verify_cocycles", verify)
+    # every attempt reaches verify_cocycles, so attempts == len(calls)
+    monkeypatch.setattr(normalization, "KAPPA_MIN_SEP", 0.0)
+    rep = batch_verify(10, seed=3)
+    assert rep["samples"] == len(rep["rows"]) == 10
+    assert len(calls) == 14  # poles at calls 3, 6, 9 and 12
+    assert rep["pole_fraction"] == 4 / 14
+    assert rep["residuals"]["eq11"]["max"] == 14.0
+
+
 def test_q_from_gamma_branches():
     g = 1.2 - 0.4j
     Q = q_from_gamma(g)

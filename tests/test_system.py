@@ -2,13 +2,12 @@ import pytest
 
 from conftest import mat_diff, model_system, random_gauge, random_system
 from resunfold.algebra import CSeries, CSeriesMat2
+from resunfold.invariants import NonGeneric, extract_formal
 from resunfold.system import (
     GaugeTransform,
-    NotAnUnfoldingBase,
     ParametricSystem,
     SingularGauge,
     gauge_apply,
-    genericity_check,
 )
 
 
@@ -53,18 +52,24 @@ def test_singular_gauge_rejected():
         GaugeTransform.from_rows([[[1], [1]], [[1], [1]]], 8)
 
 
+# at an unfolding base (h = z^2) alpha1 is the slope -d/dz det(A - lambda0 I)
+# at z = 0, and genericity asks it to be nonzero
+
+
 def test_genericity_model():
-    s = model_system(0.0, 0.0)
-    ok, slope = genericity_check(s)
-    assert ok and abs(slope - 1.0) < 1e-14
+    F = extract_formal(model_system(0.0, 0.0))
+    F.require_generic()
+    assert abs(F.alpha1 - 1.0) < 1e-14
 
 
 def test_genericity_constant_jordan_nongeneric():
     K = 16
     A = CSeriesMat2(CSeries.zero(K), CSeries.one(K),
                     CSeries.zero(K), CSeries.zero(K))
-    ok, slope = genericity_check(ParametricSystem(0.0, 0.0, A))
-    assert not ok and abs(slope) < 1e-14
+    F = extract_formal(ParametricSystem(0.0, 0.0, A))
+    assert abs(F.alpha1) < 1e-14
+    with pytest.raises(NonGeneric):
+        F.require_generic()
 
 
 def test_genericity_slope_value(rng):
@@ -73,20 +78,9 @@ def test_genericity_slope_value(rng):
         K = 16
         A = CSeriesMat2(CSeries.zero(K), CSeries.one(K),
                         CSeries([0.0, c], K), CSeries.zero(K))
-        ok, slope = genericity_check(ParametricSystem(0.0, 0.0, A))
-        assert abs(slope - c) < 1e-13
-        assert ok == (abs(c) > 1e-8)
-
-
-def test_genericity_rejects_wrong_base():
-    s = model_system(0.0, 0.01)  # h != z^2
-    with pytest.raises(NotAnUnfoldingBase):
-        genericity_check(s)
-    K = 16
-    A = CSeriesMat2(CSeries.one(K), CSeries.zero(K),
-                    CSeries.zero(K), -CSeries.one(K))  # distinct eigenvalues
-    with pytest.raises(NotAnUnfoldingBase):
-        genericity_check(ParametricSystem(0.0, 0.0, A))
+        F = extract_formal(ParametricSystem(0.0, 0.0, A))
+        assert abs(F.alpha1 - c) < 1e-13
+        F.require_generic()
 
 
 def test_descriptor_roundtrip(tmp_path, rng):
