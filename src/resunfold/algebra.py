@@ -157,10 +157,7 @@ class CSeries:
 
     def eval(self, z):
         """Horner evaluation at a point or ndarray of points."""
-        acc = self.coeffs[-1] * (np.ones_like(z) if isinstance(z, np.ndarray) else 1.0)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
+        return horner(self.coeffs, z)
 
     def divmod_quadratic(self, h0: complex, h1: complex):
         """Polynomial division by the monic quadratic z^2 + h1 z + h0.
@@ -182,6 +179,15 @@ class CSeries:
 
 # ---------------------------------------------------------------------------
 # 2x2 matrices of series
+
+
+def horner(coeffs, z):
+    """sum_l coeffs[l] z^l by Horner's rule, each coeffs[l] broadcast
+    against z."""
+    acc = coeffs[-1] * np.ones_like(z)
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
 
 
 def binomials(n: int) -> np.ndarray:
@@ -315,11 +321,7 @@ class CSeriesMat2:
 
     def eval(self, z) -> np.ndarray:
         """Horner evaluation at a point or ndarray of points; shape (..., 2, 2)."""
-        z = np.asarray(z)[..., None, None]
-        acc = self.coeffs[-1] * np.ones_like(z)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
+        return horner(self.coeffs, np.asarray(z)[..., None, None])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))

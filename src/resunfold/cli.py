@@ -6,8 +6,8 @@ manifest echo of its arguments, which alone reproduce the results.
 
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
 error (including an invalid system descriptor or invariants file, a
-numeric option out of range, a rotation omega outside the sector
-|arg omega| < eta, annulus constants that violate the contraction
+numeric option out of range, a rotation omega = exp(i --omega-arg) outside
+the sector |arg omega| < eta, a normcheck r too large for the contraction
 inequality, a zero of h outside the unit disc, a contour too close to a
 zero of h, a monodromy transport that does not converge, a failed Picard
 solve, and gamma-pole saturation in kappa), 3 NonGeneric, 4
@@ -105,7 +105,6 @@ OPTION_CHECKS = (
     ("--order", "order", "must be >= 2", lambda v: v >= 2),
     ("--grid", "grid", "must be >= 2", lambda v: v >= 2),
     ("--samples", "samples", "must be >= 1", lambda v: v >= 1),
-    ("--trace-step", "trace_step", "must be positive", lambda v: v > 0),
 )
 
 
@@ -186,21 +185,25 @@ def _json_complex(value) -> complex:
     return complex(*value) if isinstance(value, list) else complex(value)
 
 
-def _flow_domain(args, sup_sr: float = 0.0, **fields):
-    """(omega, DomainConfig) from the options portrait and normcheck share.
-    Raises UsageError unless omega != 0, |arg omega| < eta and the annulus
-    constants satisfy the contraction inequality for ``sup_sr`` =
-    sup|s r|.  ``fields`` are further DomainConfig fields."""
-    omega = cmath.exp(1j * args.omega_arg) if args.omega is None else args.omega
-    if omega == 0 or abs(cmath.phase(omega)) >= args.eta:
-        raise UsageError(f"omega = {omega} must be nonzero with |arg omega| < eta = "
-                         f"{args.eta:.6g}")
-    cfg = DomainConfig(eta=args.eta, delta_s=args.delta_s, L=args.L, xi_max=args.xi_max,
-                       **fields)
+def _flow_domain(args, r: CSeries | None = None):
+    """(omega, DomainConfig, sup|s r|) for portrait and normcheck: omega =
+    exp(i --omega-arg), the library's annulus constants with --xi-max, and
+    the sup of |s r(s^2 - mu)| over the square |Re s|, |Im s| <= delta_s
+    (0 without r).  Raises UsageError unless |arg omega| < eta and the
+    constants satisfy the contraction inequality for that sup."""
+    omega = cmath.exp(1j * args.omega_arg)
+    cfg = DomainConfig(xi_max=args.xi_max)
+    if abs(cmath.phase(omega)) >= cfg.eta:
+        raise UsageError(f"omega = {omega} must have |arg omega| < eta = {cfg.eta:.6g}")
+    sup_sr = 0.0
+    if r is not None:
+        ss = np.linspace(-cfg.delta_s, cfg.delta_s, 101)
+        grid = ss[None, :] + 1j * ss[:, None]
+        sup_sr = float(np.max(np.abs(grid * r.eval(grid * grid - args.mu))))
     if not cfg.feasible(sup_sr):
         raise UsageError(f"annulus constants violate the contraction inequality "
                          f"(sup|s r| = {sup_sr:.6g})")
-    return omega, cfg
+    return omega, cfg, sup_sr
 
 
 def _load_germ(path) -> ParametricSystem:
@@ -279,7 +282,7 @@ def cmd_normalform(args) -> int:
 
 def cmd_portrait(args) -> int:
     mu, eps = args.mu, args.eps
-    omega, cfg = _flow_domain(args)
+    omega, cfg, _ = _flow_domain(args)
     rp = RamifiedPoint.from_values(mu, eps)
 
     n = args.grid
@@ -358,16 +361,9 @@ def cmd_kappa(args) -> int:
 def cmd_normcheck(args) -> int:
     mu, eps = args.mu, args.eps
     r = CSeries(args.r_coeffs, args.order) if args.r_coeffs else None
-    sup_sr = 0.0
-    if r is not None:
-        ss = np.linspace(-args.delta_s, args.delta_s, 101)
-        grid = ss[None, :] + 1j * ss[:, None]
-        sup_sr = float(np.max(np.abs(grid * r.eval(grid * grid - mu))))
-    omega, cfg = _flow_domain(args, sup_sr, trace_step=args.trace_step,
-                              parabolic_capture=args.parabolic_capture)
+    omega, cfg, sup_sr = _flow_domain(args, r)
     rp = RamifiedPoint.from_values(mu, eps)
-    sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, seed_dir=args.seed_dir,
-                                       tol=args.tol)
+    sol_i, sol_j = inner_arc_solutions(rp, omega, cfg, r=r, tol=args.tol)
     asm = assemble_F(sol_i, sol_j, interior=0.1)
     ratios = sol_i.contraction_ratios
     payload = {
@@ -420,18 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="q or b value as 're,im' (q defaults to the closed form in gamma)")
     q.set_defaults(func=cmd_normalform)
 
-    # the parameter point, rotation and annulus options of the flow commands
+    # the parameter point, rotation and xi budget of the flow commands, which
+    # take no abbreviations: --omega is refused, not read as --omega-arg
     flow = argparse.ArgumentParser(add_help=False)
     flow.add_argument("--mu", type=_parse_complex, required=True)
     flow.add_argument("--eps", type=_parse_complex, required=True)
-    flow.add_argument("--omega", type=_parse_complex, default=None)
     flow.add_argument("--omega-arg", type=float, default=0.0, dest="omega_arg")
-    flow.add_argument("--eta", type=float, default=math.pi / 6)
-    flow.add_argument("--delta-s", type=float, default=0.5, dest="delta_s")
-    flow.add_argument("--L", type=float, default=2.0)
     flow.add_argument("--xi-max", type=float, default=None, dest="xi_max")
 
-    q = sub.add_parser("portrait", parents=[flow],
+    q = sub.add_parser("portrait", parents=[flow], allow_abbrev=False,
                        help="trajectories, regions and bifurcation CSVs")
     q.add_argument("--grid", type=int, default=41)
     q.add_argument("--trajectories", type=int, default=8)
@@ -443,13 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit the per-sample residual rows from the report")
     q.set_defaults(func=cmd_kappa)
 
-    q = sub.add_parser("normcheck", parents=[flow], help="Picard solve + diagonalizer assembly")
+    q = sub.add_parser("normcheck", parents=[flow], allow_abbrev=False,
+                       help="Picard solve + diagonalizer assembly")
     q.add_argument("--r-coeffs", type=_parse_complex_list, default=None, dest="r_coeffs",
                    help="semicolon-separated complex coefficients of r")
-    q.add_argument("--seed-dir", type=_parse_complex, default=None, dest="seed_dir")
-    q.add_argument("--trace-step", type=float, default=5e-3, dest="trace_step")
-    q.add_argument("--parabolic-capture", type=float, default=1e-2,
-                   dest="parabolic_capture")
     q.set_defaults(func=cmd_normcheck)
     return p
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .algebra import CSeries, CSeriesMat2
-from .system import ParametricSystem
+from .system import GaugeTransform, ParametricSystem, gauge_apply
 
 
 class NonGeneric(ValueError):
@@ -151,8 +151,7 @@ def _cyclic_steps(system: ParametricSystem):
     the best-conditioned cyclic covector w; step 2 solves the triangular
     recursion for the lower-row corrections t^(l) = (t21[l], t22[l]).
     Returns the (K, 2, 2) coefficients a of the conjugated A and the
-    (K + 1, 2, 2) stack T of the matrices [[0, 0], t^(l)], zero at l = 0
-    and l = K.
+    (K, 2, 2) stack T of the matrices [[0, 0], t^(l)], zero at l = 0.
     """
     n = system.order
 
@@ -178,7 +177,7 @@ def _cyclic_steps(system: ParametricSystem):
 
     # step 2: triangular recursion for the lower-row corrections,
     # t^(l) = -(a^(l)_top + sum_{0<j<l} a^(j)_12 t^(l-j))
-    T = np.zeros((n + 1, 2, 2), dtype=complex)
+    T = np.zeros((n, 2, 2), dtype=complex)
     for l in range(1, n):
         T[l, 1] = -(a[l, 0] + a[1:l, 0, 1] @ T[l - 1:0:-1, 1])
     return a, T
@@ -211,20 +210,16 @@ def prenormalize(system: ParametricSystem) -> ReducedSystem:
     n = system.order
 
     a, T = _cyclic_steps(system)
-    # B = T^{-1} A T - h T^{-1} T' with T = I + sum T^(l) x^l, order by
-    # order: b^(l) = a^(l) + sum_{j<l} (a^(j) T^(l-j) - T^(l-j) b^(j))
-    # - (l-1) T^(l-1) + eps (l+1) T^(l+1).  T^(K) = 0 drops the eps term at
-    # the top order, leaving an O(x^(K-1)) defect in B; at order zero only
-    # eps T^(1) survives, and it lands in the lower row.
-    b = np.zeros((n, 2, 2), dtype=complex)
-    b[0] = a[0] + eps * T[1]
-    for l in range(1, n):
-        Tl = T[l:0:-1]                       # T^(l-j) for j = 0 .. l-1
-        b[l] = (a[l] + (a[:l] @ Tl - Tl @ b[:l]).sum(axis=0)
-                - (l - 1) * T[l - 1] + eps * (l + 1) * T[l + 1])
-        top = float(np.abs(b[l, 0]).max())
-        if top > 1e-6 * max(1.0, scale):
-            raise InvariantMismatch(f"step 2 left a top-row residue {top:.3e}")
+    # B = G^{-1} A G - h G^{-1} G' with G = I + sum T^(l) x^l has a zero
+    # top row beyond order 0.  G stops at x^(K-1), so the eps K T^(K)
+    # x^(K-1) term of h G' is missing: an O(x^(K-1)) defect in B
+    G = T.copy()
+    G[0] = np.eye(2)
+    b = gauge_apply(GaugeTransform(CSeriesMat2.from_coeffs(G)),
+                    ParametricSystem(system.h0, 0.0, CSeriesMat2.from_coeffs(a))).A.coeffs
+    top = float(np.abs(b[1:, 0]).max())
+    if top > 1e-6 * max(1.0, scale):
+        raise InvariantMismatch(f"step 2 left a top-row residue {top:.3e}")
 
     b21 = CSeries(b[:, 1, 0])
     b22 = CSeries(b[:, 1, 1])
@@ -256,4 +251,4 @@ def step2_growth_data(system: ParametricSystem):
         m = float(np.max(np.abs(a[l])))
         if m > 0:
             ka = max(ka, m ** (1.0 / l))
-    return ka, np.abs(T[:n, 1]).max(axis=1).tolist()
+    return ka, np.abs(T[:, 1]).max(axis=1).tolist()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import binomials, pascal_shift, trim
+from .algebra import binomials, horner, pascal_shift, trim
 from .geometry import _dist_to_segment
 from .invariants import FormalInvariants, extract_formal
 from .system import ParametricSystem
@@ -42,39 +42,35 @@ GAMMA_ERROR_MAX = 1e-3
 class Contour:
     """Arclength-parameterized integration path.
 
-    Either a circle (center, radius) or a polyline through ``points``.
-    ``orientation`` +1 is counterclockwise for circles and forward for
-    polylines.
+    Either a counterclockwise circle (center, radius) or a polyline through
+    ``points``, traversed in order.
     """
 
     kind: str
-    orientation: int = 1
     center: complex = 0.0
     radius: float = 0.0
     points: tuple = field(default_factory=tuple)
 
     @classmethod
-    def circle(cls, center: complex, radius: float, orientation: int = 1) -> "Contour":
+    def circle(cls, center: complex, radius: float) -> "Contour":
         if radius <= 0:
             raise ValueError("radius must be positive")
-        return cls("circle", orientation, complex(center), float(radius))
+        return cls("circle", complex(center), float(radius))
 
     @classmethod
-    def polyline(cls, points, orientation: int = 1) -> "Contour":
+    def polyline(cls, points) -> "Contour":
         pts = tuple(complex(p) for p in points)
         if len(pts) < 2:
             raise ValueError("polyline needs at least two points")
-        if orientation < 0:
-            pts = pts[::-1]
-        return cls("polyline", 1, points=pts)
+        return cls("polyline", points=pts)
 
     def segments(self):
         """Yield (z(t), length) per segment, t the arclength (|dz/dt| = 1)."""
         if self.kind == "circle":
-            c, R, sgn = self.center, self.radius, self.orientation
+            c, R = self.center, self.radius
 
             def z(t):
-                return c + R * cmath.exp(1j * sgn * t / R)
+                return c + R * cmath.exp(1j * t / R)
 
             yield z, 2.0 * math.pi * R
         else:
@@ -153,10 +149,7 @@ def _log_growth(beta: np.ndarray, r: np.ndarray, ra: np.ndarray, rb: np.ndarray)
     coefficients of A(c_j+s), ``r``, ``ra``, ``rb`` hold the segment length
     and the root distances of each row, and the integrand increases with |s|."""
     taus = r[:, None] * np.arange(1, _PANELS + 1) / _PANELS
-    g = np.zeros_like(taus)
-    for b in beta.T[::-1]:                      # Horner, as np.polyval
-        g = g * taus + b[:, None]
-    g = g / ((ra[:, None] - taus) * (rb[:, None] - taus))
+    g = horner(beta.T[:, :, None], taus) / ((ra[:, None] - taus) * (rb[:, None] - taus))
     return r / _PANELS * g.sum(axis=1)
 
 

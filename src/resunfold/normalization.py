@@ -337,17 +337,16 @@ def diagonalization_residual(asm: FAssembly) -> float:
 
 
 def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
-                        r=None, seed_dir: complex | None = None, tol: float = 1e-12):
-    """Trace one connecting arc and solve for both Picard solutions.
+                        r=None, tol: float = 1e-12):
+    """Trace one connecting arc, seeded from s1 towards s2 (towards i s1
+    when they coincide), and solve for both Picard solutions.
 
     Returns (p_i_sol on the arc, p_j_sol on the reversed-negated arc).
     """
-    if seed_dir is None:
-        d = rp.s2 - rp.s1 if abs(rp.s2 - rp.s1) > 1e-12 else 1j * rp.s1
-        if d == 0:
-            raise NoOverlap("no default seed direction at mu = eps = 0")
-        seed_dir = d / abs(d)
-    return _picard_pair(connecting_arc(rp, omega, cfg, seed_dir), r, tol)
+    d = rp.s2 - rp.s1 if abs(rp.s2 - rp.s1) > 1e-12 else 1j * rp.s1
+    if d == 0:
+        raise NoOverlap("no seed direction at mu = eps = 0")
+    return _picard_pair(connecting_arc(rp, omega, cfg, d / abs(d)), r, tol)
 
 
 def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,

@@ -121,11 +121,6 @@ def test_portrait_command_and_flags(tmp_path):
     summary = json.load(open(out / "summary.json"))
     assert summary["label_counts"]["R_I"] == 0  # mu^2 = eps: inner empty
 
-    # infeasible annulus constants are rejected
-    rc = main(["--out", str(tmp_path / "o2"), "portrait", "--mu", "0.1",
-               "--eps", "0.01", "--L", "10", "--delta-s", "0.5"])
-    assert rc == 2
-
 
 def test_portrait_inner_split(tmp_path):
     out = tmp_path / "o"
@@ -187,8 +182,8 @@ def run_python(code, *args):
 @pytest.mark.parametrize("args", [
     ["portrait", "--mu", "abc", "--eps", "0.001"],
     ["portrait", "--mu", "0.06", "--eps", "1,2,3"],
-    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega", "1,x"],
-    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--seed-dir", "abc"],
+    ["normalform", "inv.json", "--variant", "b", "--param", "1,x"],
+    ["normcheck", "--mu", "0.05", "--eps", "1,x"],
     ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "0.1;abc"],
 ])
 def test_bad_numbers_exit_parse(args, tmp_path):
@@ -257,9 +252,10 @@ def test_invalid_descriptor_exit_parse(edit, command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega=-1,0", "--grid", "11"],
-    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega", "0"],
-    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--omega=-1,0"],
+    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega-arg=3.141592653589793",
+     "--grid", "11"],
+    ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega-arg=-0.53"],
+    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--omega-arg=-3.141592653589793"],
     ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--omega-arg", "0.6"],
 ])
 def test_rotation_outside_sector_exit_parse(args, tmp_path, monkeypatch, capsys):
@@ -274,10 +270,22 @@ def test_rotation_outside_sector_exit_parse(args, tmp_path, monkeypatch, capsys)
     assert len(err.strip().splitlines()) == 1 and "|arg omega| < eta" in err
 
 
+@pytest.mark.parametrize("command", [["portrait", "--mu", "0.06", "--eps", "0.001"],
+                                     ["normcheck", "--mu", "0.05", "--eps", "0.0016"]])
+def test_flow_commands_take_no_abbreviation(command, tmp_path, capsys):
+    """--omega is not a prefix of --omega-arg: a rotation given as omega is
+    refused, not read as its argument."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "o"), *command, "--omega", "0.3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --omega 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["portrait", "--mu", "0.06", "--eps", "0.001", "--grid", "0"], "--grid must be >= 2"),
-    (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--trace-step", "0"],
-     "--trace-step must be positive"),
+    (["--order", "1", "normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "0.1"],
+     "--order must be >= 2"),
     (["kappa", "--samples", "0"], "--samples must be >= 1"),
     (["kappa", "--samples", "-3"], "--samples must be >= 1"),
     (["--order", "1", "normalform", "inv.json"], "--order must be >= 2"),
@@ -302,10 +310,10 @@ INVARIANTS = {"h": [0.01, 0.0], "lambda": [0.0, 0.0], "alpha": [0.0, 1.0]}
 
 
 @pytest.mark.parametrize("args, message, wrote", [
-    (["portrait", "--mu", "0.06", "--eps", "0.001", "--omega", "0"],
-     "must be nonzero with |arg omega| < eta", False),
-    (["portrait", "--mu", "0.06", "--eps", "0.001", "--L", "10"],
-     "annulus constants violate the contraction inequality (sup|s r| = 0)", False),
+    (["portrait", "--mu", "0.06", "--eps", "0.001", "--omega-arg", "0.6"],
+     "must have |arg omega| < eta", False),
+    (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--omega-arg=-0.6"],
+     "must have |arg omega| < eta", False),
     (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "5"],
      "annulus constants violate the contraction inequality (sup|s r| = 3.53", False),
     (["normalform", "missing.json"], "bad invariants file: [Errno 2]", False),

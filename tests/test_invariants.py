@@ -185,16 +185,41 @@ def test_prenormalize_rejects_wrong_invariants():
     K = 16
     A = CSeriesMat2(CSeries([0.3], K), CSeries.one(K),
                     CSeries([0.05, 1.0], K), CSeries([0.3], K))  # lambda != 0
-    with pytest.raises(InvariantMismatch):
+    with pytest.raises(InvariantMismatch, match="lambda = 0"):
+        prenormalize(ParametricSystem(-0.01, 0.0, A))
+    model = model_system(0.05, 0.01, order=K)
+    with pytest.raises(InvariantMismatch, match="h = x\\^2 - eps"):
+        prenormalize(ParametricSystem(-0.01, 0.1, model.A))
+    A = CSeriesMat2(CSeries.zero(K), CSeries.one(K),
+                    CSeries([0.05, 2.0], K), CSeries.zero(K))  # alpha = 0.05 + 2x
+    with pytest.raises(InvariantMismatch, match="alpha = mu \\+ x"):
         prenormalize(ParametricSystem(-0.01, 0.0, A))
 
 
 def test_prenormalize_scalar_constant_term_fails():
+    # lambda = 0 and alpha = -det A mod (x^2 - 0.01) = 100 x^3 mod h = x pass
+    # the invariant checks; A(0) = 0 has no cyclic covector
     K = 16
-    A = CSeriesMat2(CSeries([0.5, 0.1], K), CSeries([0.0, 1.0], K),
-                    CSeries([0.0, 1.0], K), CSeries([0.5, -0.1], K))
-    with pytest.raises((Step1Failure, InvariantMismatch)):
-        prenormalize(ParametricSystem(0.0, 0.0, A))
+    A = CSeriesMat2(CSeries.zero(K), CSeries([0.0, 10.0], K),
+                    CSeries([0.0, 0.0, 10.0], K), CSeries.zero(K))
+    with pytest.raises(Step1Failure, match="constant term of A is scalar"):
+        prenormalize(ParametricSystem(-0.01, 0.0, A))
+
+
+def test_prenormalize_refuses_a_top_row_residue(monkeypatch):
+    """Step 2's corrections must clear the top row of B beyond order 0;
+    corrections off by 10 % leave a residue that is refused."""
+    import resunfold.invariants as inv
+    cyclic = inv._cyclic_steps
+
+    def off_by_ten_percent(system):
+        a, T = cyclic(system)
+        return a, 1.1 * T
+    monkeypatch.setattr(inv, "_cyclic_steps", off_by_ten_percent)
+    pert = gauge_apply(GaugeTransform.from_rows([[1.0, 0.0], [[0.0, 0.3], 1.0]], 24),
+                       model_system(0.05, 0.02))
+    with pytest.raises(InvariantMismatch, match="top-row residue"):
+        prenormalize(pert)
 
 
 def test_step2_growth_bound(rng):

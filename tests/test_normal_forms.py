@@ -132,6 +132,21 @@ def test_equivalence_distinct_q(rng):
     assert report["gamma_gap"] > 1e-3
 
 
+def test_equivalence_formal_early_exit(monkeypatch):
+    """Models with different eps differ in h: NotEquivalent from the formal
+    invariants alone, before any monodromy transport."""
+    import resunfold.normal_forms as nf
+
+    def transported(*a, **k):
+        raise AssertionError("gamma_numeric called after the formal invariants differ")
+    monkeypatch.setattr(nf, "gamma_numeric", transported)
+    verdict, report = decide_equivalence(model_system(0.05, 0.01), model_system(0.05, 0.02))
+    assert verdict == "NotEquivalent"
+    assert report["reason"] == "formal invariants differ"
+    assert report["formal_gaps"]["h0"] == pytest.approx(0.01)
+    assert "gamma_gap" not in report
+
+
 def test_equivalence_cross_normal_form(rng):
     """q-form vs b-form with matched gamma decide Equivalent."""
     F = random_invariants(rng, lam_scale=0.0)
