@@ -13,14 +13,11 @@ diagonalizing transformations, Gamma-function connection coefficients).
 """
 
 from .algebra import (
-    BranchedLog,
     CSeries,
     CSeriesMat2,
     DivisionByNonUnit,
     PoleAtNonPositiveInteger,
-    ZeroModulus,
     log_gamma,
-    ramified_sqrt,
 )
 from .system import (
     BadDescriptor,

@@ -1,5 +1,5 @@
-"""Truncated complex power series, 2x2 series matrices, branch-tracked
-logarithms, and the complex log-gamma function.
+"""Truncated complex power series, 2x2 series matrices and the complex
+log-gamma function.
 
 All arithmetic is plain double precision.  A :class:`CSeries` of order K
 stores the coefficients of ``z^0 .. z^(K-1)`` and every operation is exact
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +21,6 @@ class DivisionByNonUnit(ArithmeticError):
 
 class PoleAtNonPositiveInteger(ArithmeticError):
     """log_gamma evaluated at a pole of the gamma function."""
-
-
-class ZeroModulus(ArithmeticError):
-    """Branch-tracked operation on the branch point itself."""
 
 
 # ---------------------------------------------------------------------------
@@ -329,50 +324,6 @@ class CSeriesMat2:
     def affine_substitute(self, shift: complex, scale: complex) -> "CSeriesMat2":
         """Entrywise re-expansion f(shift + scale*x), as CSeries.affine_substitute."""
         return CSeriesMat2.from_coeffs(pascal_shift(self.coeffs, shift, scale))
-
-
-# ---------------------------------------------------------------------------
-# branch-tracked logarithm representation
-
-
-@dataclass(frozen=True)
-class BranchedLog:
-    """A nonzero complex number with an unconstrained argument.
-
-    ``arg`` is not reduced modulo 2*pi, which is what encodes the sheet of
-    a ramified quantity.  ``project()`` recovers the underlying complex
-    number.
-    """
-
-    modulus: float
-    arg: float
-
-    @classmethod
-    def from_complex(cls, w: complex, turns: int = 0) -> "BranchedLog":
-        w = complex(w)
-        return cls(abs(w), cmath.phase(w) + 2.0 * math.pi * turns)
-
-    def project(self) -> complex:
-        return self.modulus * cmath.exp(1j * self.arg)
-
-    def shifted(self, delta_arg: float) -> "BranchedLog":
-        return BranchedLog(self.modulus, self.arg + delta_arg)
-
-    def log(self) -> complex:
-        if self.modulus == 0.0:
-            raise ZeroModulus("log of the branch point")
-        return complex(math.log(self.modulus), self.arg)
-
-
-def ramified_sqrt(x: BranchedLog) -> BranchedLog:
-    """Sheet-tracking square root: halves the argument.
-
-    For arg = 0 and positive modulus this is the standard square root; an
-    argument of 2*pi projects onto the negative root.
-    """
-    if x.modulus == 0.0:
-        raise ZeroModulus("square root at the branch point")
-    return BranchedLog(math.sqrt(x.modulus), 0.5 * x.arg)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ from .normalization import (
     p_equation_residual,
 )
 from .system import BadDescriptor, ParametricSystem
-from .algebra import CSeries
+from .algebra import CSeries, pascal_shift
 
 SCHEMA_VERSION = 1
 CSV_SCHEMA = "resunfold-csv/1"
@@ -108,10 +108,10 @@ OPTION_CHECKS = (
 )
 
 
-def _round_sig(x: float, digits: int = 12) -> float:
+def _round_sig(x: float) -> float:
     if x == 0 or not math.isfinite(x):
         return x
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.12g}")
 
 
 def _jsonable(obj):
@@ -188,18 +188,19 @@ def _json_complex(value) -> complex:
 def _flow_domain(args, r: CSeries | None = None):
     """(omega, DomainConfig, sup|s r|) for portrait and normcheck: omega =
     exp(i --omega-arg), the library's annulus constants with --xi-max, and
-    the sup of |s r(s^2 - mu)| over the square |Re s|, |Im s| <= delta_s
-    (0 without r).  Raises UsageError unless |arg omega| < eta and the
-    constants satisfy the contraction inequality for that sup."""
+    a bound on the sup of |s r(s^2 - mu)| over the disc |s| <= delta_s (0
+    without r): with q the coefficients of r(x - mu), the triangle
+    inequality gives sum_k |q_k| delta_s^(2k+1), exact for a monomial.
+    Raises UsageError unless |arg omega| < eta and the constants satisfy
+    the contraction inequality for that bound."""
     omega = cmath.exp(1j * args.omega_arg)
     cfg = DomainConfig(xi_max=args.xi_max)
     if abs(cmath.phase(omega)) >= cfg.eta:
         raise UsageError(f"omega = {omega} must have |arg omega| < eta = {cfg.eta:.6g}")
     sup_sr = 0.0
     if r is not None:
-        ss = np.linspace(-cfg.delta_s, cfg.delta_s, 101)
-        grid = ss[None, :] + 1j * ss[:, None]
-        sup_sr = float(np.max(np.abs(grid * r.eval(grid * grid - args.mu))))
+        q = pascal_shift(r.coeffs, -args.mu)
+        sup_sr = float(np.sum(np.abs(q) * cfg.delta_s ** (2 * np.arange(len(q)) + 1)))
     if not cfg.feasible(sup_sr):
         raise UsageError(f"annulus constants violate the contraction inequality "
                          f"(sup|s r| = {sup_sr:.6g})")
@@ -290,11 +291,9 @@ def cmd_portrait(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     # separatrix fan: short offsets around each singular point of the field
-    sep_seeds = []
-    for root in {rp.s1, -rp.s1, rp.s2, -rp.s2}:
-        if abs(root) > 1e-8:
-            for phase in (1.0, 1j, -1.0, -1j):
-                sep_seeds.append(root + 1e-3 * phase * max(abs(root), 0.05))
+    sep_seeds = [e.s + 1e-3 * phase * max(abs(e.s), 0.05)
+                 for e in equilibria(rp) if abs(e.s) > 1e-8
+                 for phase in (1.0, 1j, -1.0, -1j)]
     seeds = list(sep_seeds)
     while len(seeds) < len(sep_seeds) + args.trajectories:
         z = cfg.delta_s * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import BranchedLog, ramified_sqrt
-
 
 class OnCut(ValueError):
     """theta evaluated within tolerance of one of its cut segments [0, s_i]."""
@@ -33,18 +31,19 @@ class PoleAtZero(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class RamifiedPoint:
-    """A parameter point (mu, eps) with tracked branch data.
+    """A parameter point (mu, eps) with its sheet of the ramified covering.
 
-    Carries sqrt(eps) on its sheet, the two roots s1, s2 with
-    s1^2 = mu + sqrt(eps), s2^2 = mu - sqrt(eps), and branch-tracked
-    logarithms of n_i = s_i/sqrt(eps), a = (n1 - n2)/2, b = (n1 + n2)/2
-    used by the connection-coefficient formulas.  The continuation maps
-    sigma (one turn of mu around sqrt(eps)) and rho (simultaneous turn of
-    mu and eps) act by exact argument arithmetic.
+    mu and eps are plain numbers; the sheet lives in what reads it:
+    sqrt(eps), the two roots s1, s2 with s1^2 = mu + sqrt(eps),
+    s2^2 = mu - sqrt(eps), and tracked logarithms of n_i = s_i/sqrt(eps),
+    a = (n1 - n2)/2, b = (n1 + n2)/2 used by the connection-coefficient
+    formulas.  The continuation maps sigma (one turn of mu around
+    sqrt(eps)) and rho (simultaneous turn of mu and eps) move these by
+    exact sign flips and +-i pi shifts.
     """
 
-    mu: BranchedLog
-    eps: BranchedLog
+    mu: complex
+    eps: complex
     sqrt_eps: complex
     s1: complex
     s2: complex
@@ -60,17 +59,13 @@ class RamifiedPoint:
         For mu, eps real positive with mu^2 > eps this gives the standard
         square roots.  Other sheets are reached by sigma_image and rho_image.
         """
-        mu_b = BranchedLog.from_complex(mu)
-        eps_b = BranchedLog.from_complex(eps)
-        if eps_b.modulus == 0.0:
-            se = 0.0 + 0.0j
+        mu, eps = complex(mu), complex(eps)
+        if eps == 0:
             s1 = cmath.sqrt(mu)
-            return cls(mu_b, eps_b, se, s1, s1)
-        se = ramified_sqrt(eps_b).project()
-        s1 = cmath.sqrt(complex(mu) + se)
-        s2 = cmath.sqrt(complex(mu) - se)
-        point = cls(mu_b, eps_b, se, s1, s2)
-        if abs(s1) == 0.0 or abs(s2) == 0.0:
+            return cls(mu, eps, 0j, s1, s1)
+        se = cmath.sqrt(eps)
+        point = cls(mu, eps, se, cmath.sqrt(mu + se), cmath.sqrt(mu - se))
+        if point.s1 == 0 or point.s2 == 0:
             # ramification locus mu^2 = eps (or mu = -sqrt(eps)): the
             # tracked logs are undefined there
             nan = complex(math.nan, math.nan)
@@ -90,14 +85,6 @@ class RamifiedPoint:
     # -- projections ---------------------------------------------------------
 
     @property
-    def mu_value(self) -> complex:
-        return self.mu.project()
-
-    @property
-    def eps_value(self) -> complex:
-        return self.eps.project()
-
-    @property
     def n1(self) -> complex:
         return cmath.exp(self.log_n1)
 
@@ -108,8 +95,8 @@ class RamifiedPoint:
     @property
     def a(self) -> complex:
         """(s1 - s2)/(2 sqrt(eps)); for eps = 0 the limit 1/(2 sqrt(mu))."""
-        if self.eps.modulus == 0.0:
-            return 1.0 / (2.0 * cmath.sqrt(self.mu_value))
+        if self.eps == 0:
+            return 1.0 / (2.0 * cmath.sqrt(self.mu))
         return cmath.exp(self.log_a)
 
     @property
@@ -137,13 +124,12 @@ class RamifiedPoint:
     def rho_image(self) -> "RamifiedPoint":
         """Simultaneous positive turn of (mu, eps): swaps s1 <-> e^{i pi} s2.
 
-        sqrt(eps) flips sign, n1 and n2 exchange their tracked logs, a
-        continues along e^{-i pi} a and b is fixed.
+        mu and eps return to their values; sqrt(eps) flips sign, n1 and n2
+        exchange their tracked logs, a continues along e^{-i pi} a and b is
+        fixed.
         """
         return replace(
             self,
-            mu=self.mu.shifted(2.0 * math.pi),
-            eps=self.eps.shifted(2.0 * math.pi),
             sqrt_eps=-self.sqrt_eps,
             s1=-self.s2,
             s2=-self.s1,
@@ -278,7 +264,7 @@ def equilibria(rp: RamifiedPoint) -> list[Equilibrium]:
     cancels them and the point is regular.  For eps = 0 the double roots
     +-sqrt(mu) are flagged parabolic.
     """
-    mu, eps = rp.mu_value, rp.eps_value
+    mu, eps = rp.mu, rp.eps
     out: list[Equilibrium] = []
     if abs(eps) == 0.0:
         if abs(mu) == 0.0:
@@ -374,7 +360,7 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
     """
     if cfg is None:
         cfg = DomainConfig()
-    mu, eps = rp.mu_value, rp.eps_value
+    mu, eps = rp.mu, rp.eps
     w = direction * omega
     h = cfg.trace_step
     n_max = int(cfg.xi_limit / h) + 1
@@ -449,7 +435,7 @@ def xi_theta_residuals(record: TrajectoryRecord) -> np.ndarray:
     Pairs that straddle a theta cut (where the principal branch jumps) are
     reported as NaN so callers can exclude them.
     """
-    mu, eps = record.rp.mu_value, record.rp.eps_value
+    mu, eps = record.rp.mu, record.rp.eps
     lhs = record.direction * record.omega * record.dxi
     vals = np.empty(len(record.s) - 1, dtype=float)
     th = []
@@ -603,7 +589,7 @@ def classify_regions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     Im(conj(omega)/s0) < 0 (for omega = 1, the loops in the upper half
     plane) and R_I^P, its negation, when Im(conj(omega)/s0) > 0.
     """
-    mu, eps = rp.mu_value, rp.eps_value
+    mu, eps = rp.mu, rp.eps
     if isinstance(grid, tuple):
         nx, ny = grid
         xs = np.linspace(-cfg.delta_s, cfg.delta_s, nx)

@@ -127,7 +127,7 @@ def solve_p(traj: TrajectoryRecord, r: CSeries | None, tol: float = 1e-12) -> PS
         raise ValueError("trajectory must converge to an equilibrium")
     if traj.direction != 1:
         raise ValueError("p is solved along forward trajectories")
-    mu, eps = traj.rp.mu_value, traj.rp.eps_value
+    mu, eps = traj.rp.mu, traj.rp.eps
     w = traj.omega
     s = traj.s
     dxi = traj.dxi
@@ -169,17 +169,18 @@ def solve_p(traj: TrajectoryRecord, r: CSeries | None, tol: float = 1e-12) -> PS
     return PSolution(traj, r, p, history)
 
 
-def p_equation_residual(sol: PSolution, interior: float = 0.1) -> float:
-    """Max finite-difference residual of the p ODE (r of the solve) over interior samples.
+def p_equation_residual(sol: PSolution) -> float:
+    """Max finite-difference residual of the p ODE (r of the solve) over the
+    middle 80 % of the samples.
 
     Central differences on the uniform xi grid; dp/ds = (dp/dxi)/(omega chi).
     """
     traj = sol.trajectory
     s, p = traj.s, sol.p
-    mu, eps = traj.rp.mu_value, traj.rp.eps_value
+    mu, eps = traj.rp.mu, traj.rp.eps
     w = traj.omega
     n = len(s)
-    lo, hi = int(n * interior), int(n * (1.0 - interior))
+    lo, hi = int(n * 0.1), int(n * 0.9)
     if hi - lo < 3:
         raise ValueError("trajectory too short for residual estimation")
     sl = slice(lo + 1, hi - 1)
@@ -269,7 +270,7 @@ def assemble_F(p_i_sol: PSolution, p_j_sol: PSolution, interior: float = 0.05) -
             float(np.max(np.abs(other.s - (-arc.s[::-1])))) > 1e-9:
         raise NoOverlap("p_j solution is not on the reversed-negated arc")
     s = arc.s
-    mu, eps = arc.rp.mu_value, arc.rp.eps_value
+    mu, eps = arc.rp.mu, arc.rp.eps
     p_i = p_i_sol.p
     p_jP = p_j_sol.p[::-1]  # p_j(-s) sample-aligned with the arc
 
@@ -311,7 +312,7 @@ def diagonalization_residual(asm: FAssembly) -> float:
     """
     arc = asm.arc
     s, F = arc.s, asm.F
-    mu, eps, w = arc.rp.mu_value, arc.rp.eps_value, arc.omega
+    mu, eps, w = arc.rp.mu, arc.rp.eps, arc.omega
     n = len(s)
     if n < 9:
         raise ValueError("arc too short")
@@ -397,7 +398,7 @@ def kappa_formulas(rp: RamifiedPoint, Q: complex):
     Everything is accumulated in log space before a single exponential, so
     moderate parameter ranges stay far from overflow.
     """
-    if rp.eps.modulus == 0.0:
+    if rp.eps == 0:
         raise GammaPole("kappa formulas need eps != 0 (use the stated limits)")
     l1, l2, la, lb = rp.log_n1, rp.log_n2, rp.log_a, rp.log_b
     n1, n2, a, b = rp.n1, rp.n2, rp.a, rp.b
@@ -501,8 +502,8 @@ def verify_cocycles(rp_bar: RamifiedPoint, Q: complex) -> dict:
     """Residuals of the continuation identities at one ramified point.
 
     Builds the sigma image (one turn of mu around sqrt(eps)) and the rho
-    image (simultaneous turn of mu and eps) by exact argument arithmetic
-    and evaluates:
+    image (simultaneous turn of mu and eps) by exact sign flips and
+    +-i pi shifts of the tracked data, and evaluates:
 
       * the kappa_O cocycle over sigma,
       * invariance of kappa_I under rho,

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from resunfold.algebra import (
-    BranchedLog,
     CSeries,
     CSeriesMat2,
     DivisionByNonUnit,
     PoleAtNonPositiveInteger,
-    ZeroModulus,
     gamma_fn,
     log_gamma,
-    ramified_sqrt,
 )
 
 # independent arbitrary-precision oracle value (mpmath.loggamma, 30 digits)
@@ -205,42 +202,3 @@ def test_recurrence_identity(rng):
         lhs = gamma_fn(z + 1)
         rhs = z * gamma_fn(z)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-
-# ---------------------------------------------------------------------------
-# branch-tracked square root
-
-
-def test_ramified_sqrt_examples():
-    r = ramified_sqrt(BranchedLog(4.0, 0.0))
-    assert (r.modulus, r.arg) == (2.0, 0.0)
-
-    r = ramified_sqrt(BranchedLog(1.0, 2 * math.pi))
-    assert abs(r.project() - (-1.0)) < 1e-15
-
-    r = ramified_sqrt(BranchedLog(2.0, 4 * math.pi))
-    assert abs(r.modulus - math.sqrt(2)) < 1e-15
-    assert abs(r.arg - 2 * math.pi) < 1e-15
-
-
-def test_ramified_sqrt_zero_modulus():
-    with pytest.raises(ZeroModulus):
-        ramified_sqrt(BranchedLog(0.0, 1.0))
-
-
-def test_sqrt_squares_back(rng):
-    for _ in range(50):
-        x = BranchedLog(float(rng.uniform(0.1, 5.0)),
-                        float(rng.uniform(-6 * math.pi, 6 * math.pi)))
-        r = ramified_sqrt(x)
-        assert abs(r.project() ** 2 - x.project()) < 1e-14 * max(1.0, x.modulus)
-
-
-def test_exp_log_roundtrip(rng):
-    for turns in (-2, 0, 3):
-        w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(w) < 0.1:
-            w += 1.0
-        b = BranchedLog.from_complex(w, turns)
-        assert abs(b.project() - w) < 1e-14 * abs(w)
-        assert abs(cmath.exp(b.log()) - w) < 1e-13 * abs(w)

@@ -7,14 +7,15 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import resunfold
 from conftest import model_system, random_gauge
-from resunfold.algebra import CSeriesMat2
-from resunfold.cli import main
+from resunfold.algebra import CSeries, CSeriesMat2
+from resunfold.cli import _flow_domain, main
 from resunfold.invariants import FormalInvariants, extract_formal
 from resunfold.monodromy import gamma_numeric
 from resunfold.normal_forms import build_q_form
@@ -163,6 +164,31 @@ def test_normcheck_infeasible_r(tmp_path):
     rc = main(["--out", str(tmp_path / "o"), "normcheck", "--mu", "0.05",
                "--eps", "0.0016", "--r-coeffs", "9.0"])
     assert rc == 2
+
+
+def test_normcheck_takes_sup_sr_over_the_disc(tmp_path):
+    """r = 0.3 gives sup|s r| = 0.3 delta_s = 0.15 on the disc |s| <= delta_s,
+    and L delta_s (1 + 4 * 0.15) = 1.6 <= 2 cos(pi/6): the solve runs.  The
+    corners of the square |Re s|, |Im s| <= delta_s would give 0.212 and a
+    refusal."""
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "normcheck", "--mu=0.05", "--eps=0.0016",
+                 "--r-coeffs=0.3"]) == 0
+    rep = json.load(open(out / "normcheck.json"))
+    assert rep["sup_sr"] == 0.15
+    assert rep["det_rel_std"] < 1e-6 and rep["diag_residual"] < 1e-6
+
+
+def test_sup_sr_bounds_the_disc_sup():
+    """The closed-form sup|s r(s^2 - mu)| bound of _flow_domain is at least
+    the sup over a fine sample of the circle |s| = delta_s (the maximum
+    modulus principle puts the disc's sup there), and not far above it."""
+    r = CSeries([0.1, 0.05, -0.02j], 24)
+    args = SimpleNamespace(omega_arg=0.0, xi_max=None, mu=0.05 + 0.01j)
+    _, cfg, bound = _flow_domain(args, r)
+    s = cfg.delta_s * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    sampled = float(np.max(np.abs(s * r.eval(s * s - args.mu))))
+    assert sampled <= bound <= 1.05 * sampled
 
 
 def test_manifest_records_parsed_argv(tmp_path):
@@ -315,7 +341,7 @@ INVARIANTS = {"h": [0.01, 0.0], "lambda": [0.0, 0.0], "alpha": [0.0, 1.0]}
     (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--omega-arg=-0.6"],
      "must have |arg omega| < eta", False),
     (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "5"],
-     "annulus constants violate the contraction inequality (sup|s r| = 3.53", False),
+     "annulus constants violate the contraction inequality (sup|s r| = 2.5)", False),
     (["normalform", "missing.json"], "bad invariants file: [Errno 2]", False),
     (["normalform", "inv.json", "--variant", "b"], "b-form needs --param", False),
     (["portrait", "--mu", "0.06", "--eps", "0.001", "--grid", "1"], "--grid must be >= 2", False),

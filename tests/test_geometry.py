@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from resunfold.algebra import BranchedLog
 from resunfold.geometry import (
     CAPTURE_RADIUS,
     CLASSIFY_STEP,
@@ -88,8 +87,8 @@ def test_sigma_rho_actions(rng):
     assert abs(rho.s1 + rp.s2) == 0.0 and abs(rho.s2 + rp.s1) == 0.0
     assert abs(cmath.exp(rho.log_a) + rp.a) < 1e-14 * max(1, abs(rp.a))
     assert abs(cmath.exp(rho.log_b) - rp.b) < 1e-14 * max(1, abs(rp.b))
-    # rho turns both parameter sheets by a full turn
-    assert abs(rho.eps.arg - rp.eps.arg - 2 * math.pi) < 1e-14
+    # rho turns eps once around 0, so sqrt(eps) changes sign
+    assert rho.sqrt_eps == -rp.sqrt_eps
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +156,7 @@ def test_theta_parameter_periodicity(rng):
     rp = RamifiedPoint.from_values(mu, eps)
     s = 0.42
     base = theta(s, mu, eps, rp)
-    turned = theta(s, BranchedLog.from_complex(mu, 1).project(),
-                   BranchedLog.from_complex(eps, 1).project(), rp)
+    turned = theta(s, mu * cmath.exp(2j * math.pi), eps * cmath.exp(2j * math.pi), rp)
     assert abs(base - turned) < 1e-10
 
 
@@ -367,7 +365,7 @@ def _old_rule_endpoints(points, w, rp, cfg):
     over the full xi budget.  Also returns, per lane, the attractor of the
     first certified disc or petal it entered (NaN if none) and whether that
     entry came before the fixed-disc capture."""
-    mu, eps = rp.mu_value, rp.eps_value
+    mu, eps = rp.mu, rp.eps
     targets = _attractors(equilibria(rp), w)
     pos = np.array([e.s for e in targets])
     cap = np.array([cfg.parabolic_capture if e.parabolic else 1e3 * CAPTURE_RADIUS

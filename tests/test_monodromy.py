@@ -131,7 +131,7 @@ def test_gamma_cross_method(rng):
         assert abs(res.gamma - gamma_closed_form(A0, A1)) < 1e-6
 
 
-def test_gamma_basepoint_and_radius_independence():
+def test_gamma_basepoint_and_radius_independence(rng):
     s = model_system(0.1, 0.01)
     base = gamma_numeric(s, tol=1e-9)
     contour = auto_contour(s)
@@ -144,6 +144,14 @@ def test_gamma_basepoint_and_radius_independence():
     poly = Contour.polyline(list(pts[:-1]) + [pts[0]])
     res3 = gamma_numeric(s, tol=1e-9, contour=poly)
     assert abs(base.gamma - res3.gamma) < 1e-7
+    # est_error is a bound: on stiff random systems (|gamma| up to ~1e17) two
+    # contours give gammas no further apart than their two error estimates
+    for root_scale in (0.2,) * 5 + (0.02,) * 5:
+        s = random_system(rng, coeff_scale=3.0, root_scale=root_scale)
+        contour = auto_contour(s)
+        a = gamma_numeric(s)
+        b = gamma_numeric(s, contour=Contour.circle(contour.center, 1.5 * contour.radius))
+        assert abs(a.gamma - b.gamma) <= a.est_error + b.est_error
 
 
 def test_gamma_gauge_invariance(rng):
