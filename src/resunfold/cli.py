@@ -6,7 +6,7 @@ manifest echo of its arguments, which alone reproduce the results.
 
 Exit codes: 0 success / Equivalent, 1 NotEquivalent, 2 parse or config
 error (including an invalid system descriptor or invariants file, a
-numeric option out of range, a rotation omega = exp(i --omega-arg) outside
+numeric option out of range or not finite, a rotation omega = exp(i --omega-arg) outside
 the sector |arg omega| < eta, a normcheck r too large for the contraction
 inequality, a zero of h outside the unit disc, a contour too close to a
 zero of h, a monodromy transport that does not converge, a failed Picard
@@ -28,6 +28,9 @@ import sys
 import numpy as np
 
 from .geometry import (
+    ANNULUS_L,
+    DELTA_S,
+    ETA,
     REGION_INNER,
     REGION_NAMES,
     REGION_OUTER,
@@ -105,6 +108,9 @@ OPTION_CHECKS = (
     ("--order", "order", "must be >= 2", lambda v: v >= 2),
     ("--grid", "grid", "must be >= 2", lambda v: v >= 2),
     ("--samples", "samples", "must be >= 1", lambda v: v >= 1),
+    ("--omega-arg", "omega_arg", "must be finite", math.isfinite),
+    ("--xi-max", "xi_max", "must be positive and finite", lambda v: 0 < v < math.inf),
+    ("--validity-radius", "validity_radius", "must be positive", lambda v: v > 0),
 )
 
 
@@ -166,12 +172,13 @@ def _emit(args, outputs: dict, echo) -> None:
 
 
 def _parse_complex(text: str) -> complex:
-    """'re' or 're,im' as an argparse type: bad text exits with code 2."""
+    """'re' or 're,im' as an argparse type: bad text, or a part that is not
+    finite, exits with code 2."""
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
         parts = []
-    if len(parts) not in (1, 2):
+    if len(parts) not in (1, 2) or not all(map(math.isfinite, parts)):
         raise argparse.ArgumentTypeError(f"cannot parse complex number from '{text}'")
     return complex(*parts)
 
@@ -187,24 +194,22 @@ def _json_complex(value) -> complex:
 
 def _flow_domain(args, r: CSeries | None = None):
     """(omega, DomainConfig, sup|s r|) for portrait and normcheck: omega =
-    exp(i --omega-arg), the library's annulus constants with --xi-max, and
-    a bound on the sup of |s r(s^2 - mu)| over the disc |s| <= delta_s (0
-    without r): with q the coefficients of r(x - mu), the triangle
-    inequality gives sum_k |q_k| delta_s^(2k+1), exact for a monomial.
-    Raises UsageError unless |arg omega| < eta and the constants satisfy
-    the contraction inequality for that bound."""
+    exp(i --omega-arg), the config of --xi-max, and a bound on the sup of
+    |s r(s^2 - mu)| over the disc |s| <= DELTA_S (0 without r): with q the
+    coefficients of r(x - mu), sum_k |q_k| DELTA_S^(2k+1), exact for a
+    monomial.  Raises UsageError unless |arg omega| < ETA and
+    ANNULUS_L DELTA_S (1 + 4 sup|s r|) <= 2 cos(ETA), which holds without r."""
     omega = cmath.exp(1j * args.omega_arg)
-    cfg = DomainConfig(xi_max=args.xi_max)
-    if abs(cmath.phase(omega)) >= cfg.eta:
-        raise UsageError(f"omega = {omega} must have |arg omega| < eta = {cfg.eta:.6g}")
+    if abs(cmath.phase(omega)) >= ETA:
+        raise UsageError(f"omega = {omega} must have |arg omega| < eta = {ETA:.6g}")
     sup_sr = 0.0
     if r is not None:
         q = pascal_shift(r.coeffs, -args.mu)
-        sup_sr = float(np.sum(np.abs(q) * cfg.delta_s ** (2 * np.arange(len(q)) + 1)))
-    if not cfg.feasible(sup_sr):
+        sup_sr = float(np.sum(np.abs(q) * DELTA_S ** (2 * np.arange(len(q)) + 1)))
+    if not ANNULUS_L * DELTA_S * (1.0 + 4.0 * sup_sr) <= 2.0 * math.cos(ETA):
         raise UsageError(f"annulus constants violate the contraction inequality "
                          f"(sup|s r| = {sup_sr:.6g})")
-    return omega, cfg, sup_sr
+    return omega, DomainConfig(xi_max=args.xi_max), sup_sr
 
 
 def _load_germ(path) -> ParametricSystem:
@@ -291,13 +296,14 @@ def cmd_portrait(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     # separatrix fan: short offsets around each singular point of the field
-    sep_seeds = [e.s + 1e-3 * phase * max(abs(e.s), 0.05)
-                 for e in equilibria(rp) if abs(e.s) > 1e-8
+    eq_pts = [e.s for e in equilibria(rp)]
+    sep_seeds = [s + 1e-3 * phase * max(abs(s), 0.05)
+                 for s in eq_pts if abs(s) > 1e-8
                  for phase in (1.0, 1j, -1.0, -1j)]
     seeds = list(sep_seeds)
     while len(seeds) < len(sep_seeds) + args.trajectories:
-        z = cfg.delta_s * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
-        if abs(z) > 0.2 * cfg.delta_s:
+        z = DELTA_S * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+        if abs(z) > 0.2 * DELTA_S:
             seeds.append(z)
 
     records = [trace_trajectory(seed, omega, rp, cfg) for seed in seeds]
@@ -305,13 +311,11 @@ def cmd_portrait(args) -> int:
     curves = bifurcation_sets(eps, resolution=200)
 
     outer_mask = (labels == REGION_OUTER) | (labels == REGION_OUTER_P)
-    # outer points hugging |s| = delta_s signal the outer-region bifurcation
+    # outer points hugging |s| = DELTA_S signal the outer-region bifurcation
     # (the bounding trajectory is about to leave through the disc boundary)
-    grid_step = 2.0 * cfg.delta_s / max(n - 1, 1)
+    grid_step = 2.0 * DELTA_S / max(n - 1, 1)
     boundary_touch = bool(outer_mask.any() and
-                          np.any(np.abs(pts[outer_mask]) >
-                                 cfg.delta_s - 1.5 * grid_step))
-    eq_pts = [e.s for e in equilibria(rp)]
+                          np.any(np.abs(pts[outer_mask]) > DELTA_S - 1.5 * grid_step))
     inner_components = count_components(
         pts, labels, REGION_INNER, n, n, exclude=eq_pts,
         exclude_radius=cfg.parabolic_capture + 2.0 * grid_step)
@@ -421,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--mu", type=_parse_complex, required=True)
     flow.add_argument("--eps", type=_parse_complex, required=True)
     flow.add_argument("--omega-arg", type=float, default=0.0, dest="omega_arg")
-    flow.add_argument("--xi-max", type=float, default=None, dest="xi_max")
+    flow.add_argument("--xi-max", type=float, default=DomainConfig.xi_max, dest="xi_max")
 
     q = sub.add_parser("portrait", parents=[flow], allow_abbrev=False,
                        help="trajectories, regions and bifurcation CSVs")

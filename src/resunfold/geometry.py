@@ -3,7 +3,7 @@ function, the quotient vector field chi, trajectory tracing, region
 classification and the bifurcation curves.
 
 The field chi(s) = ((s^2 - mu)^2 - eps) / (4 s^2) is even in s; its real
-trajectories for rotated times omega (|arg omega| < eta) carve the s plane
+trajectories for rotated times omega (|arg omega| < ETA) carve the s plane
 into inner regions (connections s1 -> s2) and outer regions (connections
 s1 -> -s1).
 """
@@ -145,29 +145,23 @@ class RamifiedPoint:
 
 CLASSIFY_STEP = 5e-2    # RK4 step of the region-classification flow
 CAPTURE_RADIUS = 1e-9   # capture distance of a hyperbolic equilibrium (x 1e3 on grids)
+ETA = math.pi / 6.0     # rotations omega lie in the sector |arg omega| < ETA
+DELTA_S = 0.5           # the annulus is |s| < DELTA_S ...
+ANNULUS_L = 2.0         # ... and |(s^2 - mu)^2 - eps| < ANNULUS_L |s|^4
 
 
 @dataclass(frozen=True)
 class DomainConfig:
-    """Annulus and tracing constants.
+    """The xi budget and tracing constants of a flow in the annulus.
 
-    The feasibility inequality L * delta_s * (1 + 4 sup|s r|) <= 2 cos(eta)
-    guarantees the Picard contraction of the integral-equation solver.
+    The annulus itself is fixed by DELTA_S and ANNULUS_L.  Their product
+    with 1 + 4 sup|s r| must stay <= 2 cos(ETA) for the Picard contraction
+    of the integral-equation solver.
     """
 
-    eta: float = math.pi / 6.0
-    delta_s: float = 0.5
-    L: float = 2.0
-    xi_max: float | None = None
+    xi_max: float = 200.0 / math.cos(ETA)
     trace_step: float = 5e-3
     parabolic_capture: float = 1e-2
-
-    @property
-    def xi_limit(self) -> float:
-        return self.xi_max if self.xi_max is not None else 200.0 / math.cos(self.eta)
-
-    def feasible(self, sup_sr: float = 0.0) -> bool:
-        return self.L * self.delta_s * (1.0 + 4.0 * sup_sr) <= 2.0 * math.cos(self.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +181,22 @@ def _dist_to_segment(s: complex, end: complex) -> float:
     return abs(s - t * end)
 
 
-def theta(s: complex, mu: complex, eps: complex,
-          branch: RamifiedPoint | None = None) -> complex:
-    """Antiderivative of 2 s^2 / ((s^2 - mu)^2 - eps) vanishing at infinity.
+def theta(s: complex, rp: RamifiedPoint) -> complex:
+    """Antiderivative of 2 s^2 / ((s^2 - mu)^2 - eps) vanishing at infinity,
+    at the point (mu, eps) of ``rp``, with s1, s2 and sqrt(eps) of its sheet.
 
     Closed-form case split (generic / eps = 0 / mu^2 = eps / both zero)
     with principal logarithms of the Moebius ratios, which puts the cuts
     exactly on the four segments [0, s_i].  Odd in s.
     """
     s = complex(s)
-    mu = complex(mu)
-    eps = complex(eps)
-    if branch is None:
-        branch = RamifiedPoint.from_values(mu, eps)
+    mu, eps = complex(rp.mu), complex(rp.eps)
     scale = max(abs(mu) ** 2, abs(eps), 1e-300)
     generic = abs(eps) > 1e-13 * scale and abs(mu * mu - eps) > 1e-13 * scale
     confluent = abs(eps) <= 1e-13 * scale
     origin = confluent and abs(mu) <= 1e-13 * math.sqrt(scale)
     if generic:
-        s1, s2, se = branch.s1, branch.s2, branch.sqrt_eps
+        s1, s2, se = rp.s1, rp.s2, rp.sqrt_eps
         ends = (s1, -s1, s2, -s2)
     elif origin:
         ends = (0j,)                    # the cut degenerates to the point 0
@@ -295,8 +286,8 @@ class TrajectoryRecord:
 
     ``rp`` and ``dxi`` are the ramified point and the step it was traced with.
     ``terminal`` is one of converged / left-annulus / max-length; for a
-    converged run ``target`` holds the limiting equilibrium.  ``direction``
-    -1 means the field -omega*chi was integrated (a backward trajectory).
+    converged run ``target`` holds the limiting equilibrium.  A backward
+    trajectory of omega*chi is the record of -omega.
     """
 
     omega: complex
@@ -305,7 +296,6 @@ class TrajectoryRecord:
     s: np.ndarray
     terminal: str
     target: complex | None
-    direction: int = 1
 
     @property
     def xi(self) -> np.ndarray:
@@ -321,11 +311,11 @@ class TrajectoryRecord:
                        target=None if self.target is None else -self.s[0])
 
 
-def _in_annulus(s, mu: complex, eps: complex, cfg: DomainConfig):
-    """|s| < delta_s and |(s^2 - mu)^2 - eps| < L |s|^4, for a complex or
-    elementwise for an ndarray; NaN fails both."""
+def _in_annulus(s, mu: complex, eps: complex):
+    """|s| < DELTA_S and |(s^2 - mu)^2 - eps| < ANNULUS_L |s|^4, for a complex
+    or elementwise for an ndarray; NaN fails both."""
     s2 = s * s
-    return (abs(s) < cfg.delta_s) & (abs((s2 - mu) ** 2 - eps) < cfg.L * abs(s2 * s2))
+    return (abs(s) < DELTA_S) & (abs((s2 - mu) ** 2 - eps) < ANNULUS_L * abs(s2 * s2))
 
 
 def _field(v, w: complex, mu: complex, eps: complex):
@@ -351,29 +341,27 @@ def _attractors(eqs: list[Equilibrium], w: complex) -> list[Equilibrium]:
 
 
 def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
-                     cfg: DomainConfig | None = None, direction: int = 1) -> TrajectoryRecord:
-    """Fixed-step RK4 integration of ds/dxi = direction * omega * chi(s).
+                     cfg: DomainConfig) -> TrajectoryRecord:
+    """Fixed-step RK4 integration of ds/dxi = omega * chi(s); trace with
+    -omega for the backward trajectory.
 
     Stops on convergence to an equilibrium (within CAPTURE_RADIUS for
     hyperbolic points, parabolic_capture with an inward-motion check for
-    parabolic ones), on leaving the annulus, or at cfg.xi_limit.
+    parabolic ones), on leaving the annulus, or at cfg.xi_max.
     """
-    if cfg is None:
-        cfg = DomainConfig()
     mu, eps = rp.mu, rp.eps
-    w = direction * omega
     h = cfg.trace_step
-    n_max = int(cfg.xi_limit / h) + 1
+    n_max = int(cfg.xi_max / h) + 1
     if mu == 0 and eps == 0:
-        return _confluent_trajectory(complex(s0), omega, rp, cfg, direction, n_max)
-    attracting = _attractors(equilibria(rp), w)
+        return _confluent_trajectory(complex(s0), omega, rp, cfg, n_max)
+    attracting = _attractors(equilibria(rp), omega)
     samples = [complex(s0)]
     s = complex(s0)
     terminal, target = "max-length", None
     approach = 0
 
     for _ in range(n_max):
-        s_new = _rk4_step(s, w, mu, eps, h)
+        s_new = _rk4_step(s, omega, mu, eps, h)
         samples.append(s_new)
         stop = False
         for e in attracting:
@@ -392,25 +380,24 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
         if stop:
             s = s_new
             break
-        if not _in_annulus(s_new, mu, eps, cfg):
+        if not _in_annulus(s_new, mu, eps):
             terminal = "left-annulus"
             s = s_new
             break
         s = s_new
-    return TrajectoryRecord(omega, rp, h, np.asarray(samples), terminal, target, direction)
+    return TrajectoryRecord(omega, rp, h, np.asarray(samples), terminal, target)
 
 
 def _confluent_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
-                          cfg: DomainConfig, direction: int, n_max: int) -> TrajectoryRecord:
+                          cfg: DomainConfig, n_max: int) -> TrajectoryRecord:
     """trace_trajectory at mu = eps = 0, where theta = -2/s solves the flow:
-    1/s = 1/s0 - w xi / 4.  Samples that closed form on the xi grid of the
-    RK4 loop and stops by its rules: five consecutive approaching samples
+    1/s = 1/s0 - omega xi / 4.  Samples that closed form on the xi grid of
+    the RK4 loop and stops by its rules: five consecutive approaching samples
     inside the parabolic capture disc (samples outside it neither count nor
     reset), or a sample outside the annulus."""
-    w = direction * omega
     xi = np.arange(n_max + 1) * cfg.trace_step
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = s0 / (1.0 - (w * s0 / 4.0) * xi)
+        s = s0 / (1.0 - (omega * s0 / 4.0) * xi)
     d = np.abs(s)
     in_cap = np.flatnonzero(d[1:] < cfg.parabolic_capture)
     pos = np.arange(len(in_cap))
@@ -418,14 +405,13 @@ def _confluent_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
     # in-cap step that did not approach
     run = pos - np.maximum.accumulate(np.where(d[1:][in_cap] < d[:-1][in_cap], -1, pos))
     k_conv = in_cap[run >= 5][:1] + 1
-    k_left = np.flatnonzero(~_in_annulus(s[1:], 0.0, 0.0, cfg))[:1] + 1
+    k_left = np.flatnonzero(~_in_annulus(s[1:], 0.0, 0.0))[:1] + 1
     terminal, target, n = "max-length", None, n_max
     if k_conv.size and (not k_left.size or k_conv[0] <= k_left[0]):
         terminal, target, n = "converged", 0.0, int(k_conv[0])
     elif k_left.size:
         terminal, n = "left-annulus", int(k_left[0])
-    return TrajectoryRecord(omega, rp, cfg.trace_step, s[:n + 1], terminal, target,
-                            direction)
+    return TrajectoryRecord(omega, rp, cfg.trace_step, s[:n + 1], terminal, target)
 
 
 def xi_theta_residuals(record: TrajectoryRecord) -> np.ndarray:
@@ -435,13 +421,12 @@ def xi_theta_residuals(record: TrajectoryRecord) -> np.ndarray:
     Pairs that straddle a theta cut (where the principal branch jumps) are
     reported as NaN so callers can exclude them.
     """
-    mu, eps = record.rp.mu, record.rp.eps
-    lhs = record.direction * record.omega * record.dxi
+    lhs = record.omega * record.dxi
     vals = np.empty(len(record.s) - 1, dtype=float)
     th = []
     for s in record.s:
         try:
-            th.append(theta(s, mu, eps, record.rp))
+            th.append(theta(s, record.rp))
         except OnCut:
             th.append(None)
     for k in range(len(vals)):
@@ -475,25 +460,24 @@ REGION_NAMES = {
 }
 
 
-def _disc_radius(s_i: complex, k: int, g_i: complex, bound, margin: float,
-                 cfg: DomainConfig) -> float:
+def _disc_radius(s_i: complex, k: int, g_i: complex, bound, margin: float) -> float:
     """Largest r (by bisection) with bound(r) <= margin whose closed disc
     |s - s_i| <= r lies in the annulus, where chi(s) = (s - s_i)^k g(s) and
     bound(r) >= sup |g(s) - g_i| on that disc; 0 if none.
 
-    The disc lies in the annulus when |s_i| + r < delta_s and
-    4 r^k (|g_i| + bound(r)) < L (|s_i| - r)^2, since
+    The disc lies in the annulus when |s_i| + r < DELTA_S and
+    4 r^k (|g_i| + bound(r)) < ANNULUS_L (|s_i| - r)^2, since
     |(s^2 - mu)^2 - eps| = 4 |s|^2 |s - s_i|^k |g(s)| and |s| >= |s_i| - r.
     Both tests and bound(r) grow with r, so bisection finds the edge.
     """
     a = abs(s_i)
-    lo, hi = 0.0, min(a, cfg.delta_s - a)
+    lo, hi = 0.0, min(a, DELTA_S - a)
     if hi <= 0.0:
         return 0.0
     for _ in range(50):
         r = 0.5 * (lo + hi)
         b = bound(r)
-        if b <= margin and 4.0 * r ** k * (abs(g_i) + b) < cfg.L * (a - r) ** 2:
+        if b <= margin and 4.0 * r ** k * (abs(g_i) + b) < ANNULUS_L * (a - r) ** 2:
             lo = r
         else:
             hi = r
@@ -526,7 +510,7 @@ def _capture_discs(targets: list[Equilibrium], w: complex, mu: complex,
             discs.append((e.s, cfg.parabolic_capture, e.s))
             if a > 0.0:
                 r = _disc_radius(e.s, 2, 1.0, lambda r: r / (a - r) + (r / (a - r)) ** 2 / 4.0,
-                                 0.5, cfg)
+                                 0.5)
                 discs.append((e.s - 0.5 * r * w.conjugate() / abs(w), 0.5 * r, e.s))
             continue
         t2 = abs(2.0 * mu - e.s * e.s)
@@ -536,7 +520,7 @@ def _capture_discs(targets: list[Equilibrium], w: complex, mu: complex,
                                + 2.0 * a * t2 * (2.0 * a + r) / (a * a * (a - r) ** 2))
 
         margin = abs((w * e.multiplier).real) / (2.0 * abs(w))
-        r = _disc_radius(e.s, 1, e.multiplier, bound, margin, cfg)
+        r = _disc_radius(e.s, 1, e.multiplier, bound, margin)
         discs.append((e.s, max(1e3 * CAPTURE_RADIUS, r), e.s))
     centres, radii, ends = zip(*discs)
     return np.array(centres, dtype=complex), np.array(radii), np.array(ends, dtype=complex)
@@ -548,7 +532,7 @@ def _flow_endpoints(points: np.ndarray, w: complex, mu: complex, eps: complex,
     equilibrium per point (NaN: left the annulus or never captured).  A lane
     stops once it enters a capture disc of _capture_discs."""
     h = CLASSIFY_STEP
-    n_steps = int(cfg.xi_limit / h) + 1
+    n_steps = int(cfg.xi_max / h) + 1
     s = points.astype(complex).copy()
     out = np.full(s.shape, np.nan, dtype=complex)
     active = np.ones(s.shape, dtype=bool)
@@ -568,7 +552,7 @@ def _flow_endpoints(points: np.ndarray, w: complex, mu: complex, eps: complex,
         if captured.any():
             out[idx[captured]] = ends[np.argmax(hit[captured], axis=1)]
             active[idx[captured]] = False
-        left = ~_in_annulus(v_new[~captured], mu, eps, cfg)
+        left = ~_in_annulus(v_new[~captured], mu, eps)
         if left.any():
             active[idx[~captured][left]] = False
     return out
@@ -585,27 +569,27 @@ def classify_regions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     At mu = eps = 0 the labels come from the closed form theta = -2/s: the
     trajectory through s0 is the line 1/s0 + R omega in the 1/s plane, so it
     runs from 0 back to 0 inside the annulus exactly when that line misses
-    the disc |1/s| <= 1/delta_s.  Such a loop is R_I when
+    the disc |1/s| <= 1/DELTA_S.  Such a loop is R_I when
     Im(conj(omega)/s0) < 0 (for omega = 1, the loops in the upper half
     plane) and R_I^P, its negation, when Im(conj(omega)/s0) > 0.
     """
     mu, eps = rp.mu, rp.eps
     if isinstance(grid, tuple):
         nx, ny = grid
-        xs = np.linspace(-cfg.delta_s, cfg.delta_s, nx)
-        ys = np.linspace(-cfg.delta_s, cfg.delta_s, ny)
+        xs = np.linspace(-DELTA_S, DELTA_S, nx)
+        ys = np.linspace(-DELTA_S, DELTA_S, ny)
         pts = (xs[None, :] + 1j * ys[:, None]).ravel()
     else:
         pts = np.asarray(grid, dtype=complex).ravel()
-    inside = _in_annulus(pts, mu, eps, cfg)
+    inside = _in_annulus(pts, mu, eps)
     labels = np.full(pts.shape, REGION_NONE, dtype=int)
     eq_list = equilibria(rp)
     if not eq_list:
         return pts, labels
     if mu == 0 and eps == 0:
         side = (np.conj(omega) / pts[inside]).imag / abs(omega)
-        labels[inside] = np.where(side < -1.0 / cfg.delta_s, REGION_INNER,
-                                  np.where(side > 1.0 / cfg.delta_s, REGION_INNER_P,
+        labels[inside] = np.where(side < -1.0 / DELTA_S, REGION_INNER,
+                                  np.where(side > 1.0 / DELTA_S, REGION_INNER_P,
                                            REGION_NONE))
         return pts, labels
     fwd = _flow_endpoints(pts[inside], omega, mu, eps, cfg, eq_list)

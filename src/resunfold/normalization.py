@@ -120,13 +120,14 @@ def solve_p(traj: TrajectoryRecord, r: CSeries | None, tol: float = 1e-12) -> PS
                 [(1 - p^2)/(2 sigma) + (1 + p)^2 r(sigma^2 - mu)] dxi,
 
     using the semigroup property of the flow, so one trajectory serves all
-    of its points.  Raises ContractionViolated when a sweep contracts
-    slower than PICARD_RATIO_BOUND.
+    of its points.  The integral needs Re omega > 0 (ValueError otherwise).
+    Raises ContractionViolated when a sweep contracts slower than
+    PICARD_RATIO_BOUND.
     """
     if traj.terminal != "converged":
         raise ValueError("trajectory must converge to an equilibrium")
-    if traj.direction != 1:
-        raise ValueError("p is solved along forward trajectories")
+    if not traj.omega.real > 0.0:
+        raise ValueError(f"the integral needs Re omega > 0, got omega = {traj.omega}")
     mu, eps = traj.rp.mu, traj.rp.eps
     w = traj.omega
     s = traj.s
@@ -199,25 +200,22 @@ def p_equation_residual(sol: PSolution) -> float:
 
 
 def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
-                   seed_dir: complex = 1.0, seed_offset: float = 1e-4,
-                   seed_point: complex | None = None) -> TrajectoryRecord:
-    """Heteroclinic trajectory arc through a seed.
+                   start: complex) -> TrajectoryRecord:
+    """Heteroclinic trajectory arc through the point ``start`` of the wanted
+    region.
 
-    Seeds at s1 + seed_offset*seed_dir (or at an explicit ``seed_point``
-    inside the wanted region), integrates backward until it locks onto the
-    repelling end and forward until it converges, and splices both halves
-    into one forward record, on the step of the two traces, starting at
-    the repelling end.
+    Traces -omega from ``start`` until it locks onto the repelling end and
+    omega until it converges, and splices both halves into one record of
+    omega, on the step of the two traces, starting at the repelling end.
     """
-    start = rp.s1 + seed_offset * seed_dir if seed_point is None else seed_point
-    fwd = trace_trajectory(start, omega, rp, cfg, direction=1)
+    fwd = trace_trajectory(start, omega, rp, cfg)
     if fwd.terminal != "converged":
         raise NoOverlap(f"forward trace ended with '{fwd.terminal}'")
-    bwd = trace_trajectory(start, omega, rp, cfg, direction=-1)
+    bwd = trace_trajectory(start, -omega, rp, cfg)
     if bwd.terminal != "converged":
         raise NoOverlap(f"backward trace ended with '{bwd.terminal}'")
     s_all = np.concatenate([bwd.s[::-1], fwd.s[1:]])
-    return TrajectoryRecord(omega, rp, fwd.dxi, s_all, "converged", fwd.target, 1)
+    return TrajectoryRecord(omega, rp, fwd.dxi, s_all, "converged", fwd.target)
 
 
 def _running_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -347,23 +345,20 @@ def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     d = rp.s2 - rp.s1 if abs(rp.s2 - rp.s1) > 1e-12 else 1j * rp.s1
     if d == 0:
         raise NoOverlap("no seed direction at mu = eps = 0")
-    return _picard_pair(connecting_arc(rp, omega, cfg, d / abs(d)), r, tol)
+    return _picard_pair(connecting_arc(rp, omega, cfg, rp.s1 + 1e-4 * (d / abs(d))), r, tol)
 
 
 def outer_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
-                        r=None, seed_point: complex | None = None, tol: float = 1e-12):
-    """Picard solutions on an outer arc (connection s1 -> -s1).
-
-    Without an explicit seed, a coarse region classification supplies an
-    interior point of the outer region.
+                        r=None, tol: float = 1e-12):
+    """Picard solutions on an outer arc (connection s1 -> -s1), seeded at an
+    interior point of the outer region from a coarse region classification.
     """
-    if seed_point is None:
-        pts, labels = classify_regions(rp, omega, cfg, grid=(41, 41))
-        outer = pts[labels == REGION_OUTER]
-        if len(outer) == 0:
-            raise NoOverlap("no outer-region points found on the seed grid")
-        seed_point = complex(outer[len(outer) // 2])
-    return _picard_pair(connecting_arc(rp, omega, cfg, seed_point=seed_point), r, tol)
+    pts, labels = classify_regions(rp, omega, cfg, grid=(41, 41))
+    outer = pts[labels == REGION_OUTER]
+    if len(outer) == 0:
+        raise NoOverlap("no outer-region points found on the seed grid")
+    return _picard_pair(connecting_arc(rp, omega, cfg, complex(outer[len(outer) // 2])),
+                        r, tol)
 
 
 def _picard_pair(arc: TrajectoryRecord, r: CSeries | None, tol: float):

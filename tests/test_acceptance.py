@@ -149,10 +149,10 @@ def test_criterion_04_theta_suite():
         if abs(s) < 0.15 or min(abs(s - r) for r in rp.roots()) < 0.1:
             continue
         try:
-            t_pos = theta(s, mu, eps, rp)
-            t_neg = theta(-s, mu, eps, rp)
+            t_pos = theta(s, rp)
+            t_neg = theta(-s, rp)
             h = 1e-6
-            fd = (theta(s + h, mu, eps, rp) - theta(s - h, mu, eps, rp)) / (2 * h)
+            fd = (theta(s + h, rp) - theta(s - h, rp)) / (2 * h)
         except OnCut:
             continue
         checked += 1
@@ -162,11 +162,11 @@ def test_criterion_04_theta_suite():
 
     mu = 0.07 + 0.02j
     s = 0.31 + 0.12j
-    lim_eps = abs(theta(s, mu, 1e-10, RamifiedPoint.from_values(mu, 1e-10))
-                  - theta(s, mu, 0.0))
+    lim_eps = abs(theta(s, RamifiedPoint.from_values(mu, 1e-10))
+                  - theta(s, RamifiedPoint.from_values(mu, 0.0)))
     eps_r = mu * mu * (1 + 1e-8)
-    lim_ram = abs(theta(s, mu, eps_r, RamifiedPoint.from_values(mu, eps_r))
-                  - theta(s, mu, mu * mu))
+    lim_ram = abs(theta(s, RamifiedPoint.from_values(mu, eps_r))
+                  - theta(s, RamifiedPoint.from_values(mu, mu * mu)))
     report("criterion 4 (theta suite)",
            worst_odd < 1e-12 and worst_deriv < 1e-6
            and lim_eps < 1e-4 and lim_ram < 1e-4,
@@ -229,7 +229,7 @@ def test_criterion_07_diagonalizer_assembly():
     # confluent case mu = eps = 0
     rp0 = RamifiedPoint.from_values(0.0, 0.0)
     cfg0 = DomainConfig(trace_step=0.01, parabolic_capture=0.02, xi_max=450.0)
-    arc = connecting_arc(rp0, 1.0, cfg0, seed_dir=1j, seed_offset=0.3)
+    arc = connecting_arc(rp0, 1.0, cfg0, 0.3j)
     sol_i = solve_p(arc, None)
     sol_j = solve_p(arc.reversed_negated(), None)
     asm0 = assemble_F(sol_i, sol_j, interior=0.1)

@@ -16,6 +16,7 @@ import resunfold
 from conftest import model_system, random_gauge
 from resunfold.algebra import CSeries, CSeriesMat2
 from resunfold.cli import _flow_domain, main
+from resunfold.geometry import DELTA_S
 from resunfold.invariants import FormalInvariants, extract_formal
 from resunfold.monodromy import gamma_numeric
 from resunfold.normal_forms import build_q_form
@@ -185,8 +186,8 @@ def test_sup_sr_bounds_the_disc_sup():
     modulus principle puts the disc's sup there), and not far above it."""
     r = CSeries([0.1, 0.05, -0.02j], 24)
     args = SimpleNamespace(omega_arg=0.0, xi_max=None, mu=0.05 + 0.01j)
-    _, cfg, bound = _flow_domain(args, r)
-    s = cfg.delta_s * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    _, _, bound = _flow_domain(args, r)
+    s = DELTA_S * np.exp(2j * np.pi * np.arange(4096) / 4096)
     sampled = float(np.max(np.abs(s * r.eval(s * s - args.mu))))
     assert sampled <= bound <= 1.05 * sampled
 
@@ -211,6 +212,10 @@ def run_python(code, *args):
     ["normalform", "inv.json", "--variant", "b", "--param", "1,x"],
     ["normcheck", "--mu", "0.05", "--eps", "1,x"],
     ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "0.1;abc"],
+    ["portrait", "--mu=nan", "--eps", "0.001"],
+    ["portrait", "--mu", "0.06", "--eps", "0.001,inf"],
+    ["normalform", "inv.json", "--param=nan"],
+    ["normcheck", "--mu", "0.05", "--eps", "0.0016", "--r-coeffs", "0.1;-inf"],
 ])
 def test_bad_numbers_exit_parse(args, tmp_path):
     proc = run_python("import sys; from resunfold.cli import main; sys.exit(main())",
@@ -317,6 +322,17 @@ def test_flow_commands_take_no_abbreviation(command, tmp_path, capsys):
     (["--order", "1", "normalform", "inv.json"], "--order must be >= 2"),
     (["--gamma-tol", "1e-3", "invariants", "m.json"], "--gamma-tol must lie in [1e-13, 1e-6]"),
     (["--tol", "nan", "equiv", "a.json", "b.json"], "--tol must be positive"),
+    (["portrait", "--mu", "0.05", "--eps", "0.0016", "--omega-arg=nan"],
+     "--omega-arg must be finite"),
+    (["normcheck", "--mu", "0.05", "--eps", "0.0016", "--xi-max=nan"],
+     "--xi-max must be positive and finite"),
+    (["portrait", "--mu", "0.05", "--eps", "0.0016", "--xi-max=inf"],
+     "--xi-max must be positive and finite"),
+    (["portrait", "--mu", "0.05", "--eps", "0.0016", "--xi-max=0"],
+     "--xi-max must be positive and finite"),
+    (["invariants", "m.json", "--validity-radius=nan"], "--validity-radius must be positive"),
+    (["equiv", "a.json", "b.json", "--validity-radius=-1"],
+     "--validity-radius must be positive"),
 ])
 def test_numeric_options_checked_first(args, message, tmp_path, monkeypatch, capsys):
     import resunfold.cli as cli

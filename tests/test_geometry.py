@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from resunfold.geometry import (
+    ANNULUS_L,
     CAPTURE_RADIUS,
     CLASSIFY_STEP,
+    DELTA_S,
     REGION_INNER,
     REGION_INNER_P,
     REGION_OUTER,
@@ -96,8 +98,9 @@ def test_sigma_rho_actions(rng):
 
 
 def test_theta_simplest_case():
-    assert abs(theta(1.0, 0.0, 0.0) + 2.0) < 1e-15
-    assert abs(theta(2j, 0.0, 0.0) - (-2.0 / 2j)) < 1e-15
+    rp = RamifiedPoint.from_values(0.0, 0.0)
+    assert abs(theta(1.0, rp) + 2.0) < 1e-15
+    assert abs(theta(2j, rp) - (-2.0 / 2j)) < 1e-15
 
 
 def test_theta_oddness(rng):
@@ -106,8 +109,8 @@ def test_theta_oddness(rng):
         rp = RamifiedPoint.from_values(mu, eps)
         s = 0.4 * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         try:
-            t1 = theta(s, mu, eps, rp)
-            t2 = theta(-s, mu, eps, rp)
+            t1 = theta(s, rp)
+            t2 = theta(-s, rp)
         except OnCut:
             continue
         assert abs(t1 + t2) < 1e-12
@@ -125,7 +128,7 @@ def test_theta_derivative(rng):
             continue
         h = 1e-6
         try:
-            fd = (theta(s + h, mu, eps, rp) - theta(s - h, mu, eps, rp)) / (2 * h)
+            fd = (theta(s + h, rp) - theta(s - h, rp)) / (2 * h)
         except OnCut:
             continue
         checked += 1
@@ -136,17 +139,17 @@ def test_theta_derivative(rng):
 def test_theta_on_cut_raises():
     rp = RamifiedPoint.from_values(0.09, 0.0)
     with pytest.raises(OnCut):
-        theta(0.15, 0.09, 0.0, rp)  # on the segment [0, 0.3]
+        theta(0.15, rp)  # on the segment [0, 0.3]
 
 
 def test_theta_degenerate_limits():
     mu = 0.07 + 0.02j
     s = 0.31 + 0.12j
-    lim = theta(s, mu, 1e-10, RamifiedPoint.from_values(mu, 1e-10))
-    assert abs(lim - theta(s, mu, 0.0)) < 1e-4
+    lim = theta(s, RamifiedPoint.from_values(mu, 1e-10))
+    assert abs(lim - theta(s, RamifiedPoint.from_values(mu, 0.0))) < 1e-4
     eps = mu * mu * (1 + 1e-8)
-    lim2 = theta(s, mu, eps, RamifiedPoint.from_values(mu, eps))
-    assert abs(lim2 - theta(s, mu, mu * mu)) < 1e-4
+    lim2 = theta(s, RamifiedPoint.from_values(mu, eps))
+    assert abs(lim2 - theta(s, RamifiedPoint.from_values(mu, mu * mu))) < 1e-4
 
 
 def test_theta_parameter_periodicity(rng):
@@ -155,8 +158,9 @@ def test_theta_parameter_periodicity(rng):
     mu, eps = random_generic_point(rng)
     rp = RamifiedPoint.from_values(mu, eps)
     s = 0.42
-    base = theta(s, mu, eps, rp)
-    turned = theta(s, mu * cmath.exp(2j * math.pi), eps * cmath.exp(2j * math.pi), rp)
+    base = theta(s, rp)
+    turned = theta(s, dataclasses.replace(rp, mu=mu * cmath.exp(2j * math.pi),
+                                          eps=eps * cmath.exp(2j * math.pi)))
     assert abs(base - turned) < 1e-10
 
 
@@ -194,7 +198,7 @@ def test_chi_scaling_covariance(rng):
 
 def test_trajectory_explicit_flow_oracle():
     """mu = eps = 0: ds/dxi = s^2/4 integrates to s0/(1 - s0 xi / 4)."""
-    cfg = DomainConfig(delta_s=2.0, trace_step=0.01, xi_max=50.0)
+    cfg = DomainConfig(trace_step=0.01, xi_max=50.0)
     rp = RamifiedPoint.from_values(0.0, 0.0)
     rec = trace_trajectory(0.3j, 1.0, rp, cfg)
     exact = 0.3j / (1.0 - 0.3j * rec.xi / 4.0)
@@ -209,12 +213,12 @@ def test_confluent_trace_matches_rk4():
     RK4 loop it replaces agrees to 1e-12 over its first 2,000 steps."""
     rp = RamifiedPoint.from_values(0.0, 0.0)
     cfg = DomainConfig()
-    for s0, omega, direction in ((0.3j, 1.0, 1), (0.2 - 0.35j, cmath.exp(0.3j), -1)):
-        rec = trace_trajectory(s0, omega, rp, cfg, direction=direction)
+    for s0, omega in ((0.3j, 1.0), (0.2 - 0.35j, -cmath.exp(0.3j))):
+        rec = trace_trajectory(s0, omega, rp, cfg)
         assert len(rec.s) > 2000
         s, rk4 = complex(s0), [complex(s0)]
         for _ in range(2000):
-            s = _rk4_step(s, direction * omega, 0.0, 0.0, cfg.trace_step)
+            s = _rk4_step(s, omega, 0.0, 0.0, cfg.trace_step)
             rk4.append(s)
         assert np.max(np.abs(rec.s[:2001] - np.array(rk4))) <= 1e-12
 
@@ -253,10 +257,10 @@ def test_confluent_labels_from_closed_form():
     assert int(np.sum(lab == REGION_OUTER)) == int(np.sum(lab == REGION_OUTER_P)) == 0
     side = (np.conj(omega) / pts).imag
     assert np.all(side[lab == REGION_INNER] < 0) and np.all(side[lab == REGION_INNER_P] > 0)
-    clear = np.flatnonzero(np.abs(np.abs(side) - 1.0 / cfg.delta_s) > 0.2)
+    clear = np.flatnonzero(np.abs(np.abs(side) - 1.0 / DELTA_S) > 0.2)
     for k in clear[::20]:
-        ends = [trace_trajectory(pts[k], omega, rp, dataclasses.replace(cfg, xi_max=600.0),
-                                 direction=d).terminal for d in (1, -1)]
+        ends = [trace_trajectory(pts[k], w, rp, dataclasses.replace(cfg, xi_max=600.0)).terminal
+                for w in (omega, -omega)]
         assert (ends == ["converged", "converged"]) == (lab[k] != 0)
 
 
@@ -274,19 +278,18 @@ def test_rk4_step_and_annulus_agree_on_scalars_and_arrays():
         lanes = _rk4_step(lanes, w, mu, eps, h)
         scalars = [_rk4_step(v, w, mu, eps, h) for v in scalars]
     assert np.max(np.abs(lanes - np.array(scalars))) < 1e-14
-    cfg = DomainConfig()
     xs = np.linspace(-0.6, 0.6, 61)
     pts = (xs[None, :] + 1j * xs[:, None]).ravel()
-    inside = _in_annulus(pts, mu, eps, cfg)
+    inside = _in_annulus(pts, mu, eps)
     assert 0 < inside.sum() < len(pts)
     s2 = pts * pts
-    num, quartic = np.abs((s2 - mu) ** 2 - eps), cfg.L * np.abs(s2 * s2)
-    clear = ((np.abs(np.abs(pts) - cfg.delta_s) > 1e-12)
+    num, quartic = np.abs((s2 - mu) ** 2 - eps), ANNULUS_L * np.abs(s2 * s2)
+    clear = ((np.abs(np.abs(pts) - DELTA_S) > 1e-12)
              & (np.abs(num - quartic) > 1e-12 * quartic))
-    scalar = np.array([bool(_in_annulus(complex(p), mu, eps, cfg)) for p in pts])
+    scalar = np.array([bool(_in_annulus(complex(p), mu, eps)) for p in pts])
     assert clear.sum() > 0.99 * len(pts)
     assert np.array_equal(inside[clear], scalar[clear])
-    assert not _in_annulus(complex("nan+nanj"), mu, eps, cfg)
+    assert not _in_annulus(complex("nan+nanj"), mu, eps)
 
 
 def test_trajectory_equilibrium_is_fixed():
@@ -376,7 +379,7 @@ def _old_rule_endpoints(points, w, rp, cfg):
     certified = np.full(len(s), np.nan, dtype=complex)
     early = np.zeros(len(s), dtype=bool)
     active = np.ones(len(s), dtype=bool)
-    for _ in range(int(cfg.xi_limit / CLASSIFY_STEP) + 1):
+    for _ in range(int(cfg.xi_max / CLASSIFY_STEP) + 1):
         idx = np.flatnonzero(active)
         v = s[idx] = _rk4_step(s[idx], w, mu, eps, CLASSIFY_STEP)
         in_disc = np.abs(v[:, None] - centres[None, :]) < radii[None, :]
@@ -386,7 +389,7 @@ def _old_rule_endpoints(points, w, rp, cfg):
         got = hit.any(axis=1)
         early[idx[fresh & ~got]] = True
         end[idx[got]] = pos[np.argmax(hit[got], axis=1)]
-        active[idx[got | ~_in_annulus(v, mu, eps, cfg)]] = False
+        active[idx[got | ~_in_annulus(v, mu, eps)]] = False
         if not active.any():
             break
     return end, certified, early
@@ -418,7 +421,7 @@ def test_capture_discs_satisfy_their_bounds(rng):
                 rim = e + r * ring
                 margin = abs((w * eq.multiplier).real) / (2.0 * abs(w))
                 assert np.all(np.abs(chi(rim, mu, eps) / (rim - e) - eq.multiplier) <= margin)
-            assert np.all(_in_annulus(rim, mu, eps, cfg))
+            assert np.all(_in_annulus(rim, mu, eps))
             checked += 1
     assert checked > 20
 
@@ -434,9 +437,9 @@ def test_certified_captures_reach_the_same_attractor(mu, eps, omega, n):
     attractor that disc certifies; so the endpoints agree lane by lane."""
     rp = RamifiedPoint.from_values(mu, eps)
     cfg = DomainConfig()
-    xs = np.linspace(-cfg.delta_s, cfg.delta_s, n)
+    xs = np.linspace(-DELTA_S, DELTA_S, n)
     pts = (xs[None, :] + 1j * xs[:, None]).ravel()
-    pts = pts[_in_annulus(pts, mu, eps, cfg)]
+    pts = pts[_in_annulus(pts, mu, eps)]
     retired_early = 0
     for w in (omega, -omega):
         end, certified, early = _old_rule_endpoints(pts, w, rp, cfg)

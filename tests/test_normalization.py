@@ -42,7 +42,7 @@ def generic_arc_solutions():
 def parabolic_arc_solutions():
     rp = RamifiedPoint.from_values(0.0, 0.0)
     cfg = DomainConfig(trace_step=0.01, parabolic_capture=0.02, xi_max=450.0)
-    arc = connecting_arc(rp, 1.0, cfg, seed_dir=1j, seed_offset=0.3)
+    arc = connecting_arc(rp, 1.0, cfg, 0.3j)
     sol_i = solve_p(arc, None)
     sol_j = solve_p(arc.reversed_negated(), None)
     return rp, sol_i, sol_j
@@ -178,6 +178,16 @@ def test_solve_p_requires_convergent_trajectory():
     rec = trace_trajectory(0.2, 1.0, rp, DomainConfig(xi_max=0.5))
     assert rec.terminal == "max-length"
     with pytest.raises(ValueError):
+        solve_p(rec, None)
+
+
+def test_solve_p_requires_re_omega_positive():
+    """A backward trace is the trace of -omega; its integral operator
+    diverges, so solve_p refuses the record even though it converged."""
+    rp = RamifiedPoint.from_values(GENERIC_MU, GENERIC_EPS)
+    rec = trace_trajectory(0.2, -1.0, rp, DomainConfig())
+    assert rec.terminal == "converged" and rec.target == rp.s1
+    with pytest.raises(ValueError, match="Re omega > 0"):
         solve_p(rec, None)
 
 
