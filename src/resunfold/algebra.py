@@ -386,8 +386,3 @@ def log_gamma(z: complex) -> complex:
     # reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z),
     # with the log sin branch chosen to keep the principal determination
     return _LOG_PI - _log_sin_pi_upper(z) - _log_gamma_right(1.0 - z)
-
-
-def gamma_fn(z: complex) -> complex:
-    """Gamma(z) via exp(log_gamma); convenience for identity tests."""
-    return cmath.exp(log_gamma(z))

@@ -108,6 +108,7 @@ OPTION_CHECKS = (
     ("--order", "order", "must be >= 2", lambda v: v >= 2),
     ("--grid", "grid", "must be >= 2", lambda v: v >= 2),
     ("--samples", "samples", "must be >= 1", lambda v: v >= 1),
+    ("--seed", "seed", "must be >= 0", lambda v: v >= 0),
     ("--omega-arg", "omega_arg", "must be finite", math.isfinite),
     ("--xi-max", "xi_max", "must be positive and finite", lambda v: 0 < v < math.inf),
     ("--validity-radius", "validity_radius", "must be positive", lambda v: v > 0),

@@ -28,6 +28,8 @@ class PoleAtZero(ZeroDivisionError):
 # ---------------------------------------------------------------------------
 # ramified parameter points
 
+DEGENERATE_TOL = 1e-13   # relative distance at which a point is put on a degenerate set
+
 
 @dataclass(frozen=True)
 class RamifiedPoint:
@@ -39,7 +41,9 @@ class RamifiedPoint:
     a = (n1 - n2)/2, b = (n1 + n2)/2 used by the connection-coefficient
     formulas.  The continuation maps sigma (one turn of mu around
     sqrt(eps)) and rho (simultaneous turn of mu and eps) move these by
-    exact sign flips and +-i pi shifts.
+    exact sign flips and +-i pi shifts.  A point on a degenerate set
+    (eps = 0, mu^2 = eps, or both) carries the exact zeros of that set,
+    which ``case`` reads, and NaN tracked logs.
     """
 
     mu: complex
@@ -47,10 +51,10 @@ class RamifiedPoint:
     sqrt_eps: complex
     s1: complex
     s2: complex
-    log_n1: complex = 0.0
-    log_n2: complex = 0.0
-    log_a: complex = 0.0
-    log_b: complex = 0.0
+    log_n1: complex = complex(math.nan, math.nan)
+    log_n2: complex = complex(math.nan, math.nan)
+    log_a: complex = complex(math.nan, math.nan)
+    log_b: complex = complex(math.nan, math.nan)
 
     @classmethod
     def from_values(cls, mu: complex, eps: complex) -> "RamifiedPoint":
@@ -58,29 +62,38 @@ class RamifiedPoint:
 
         For mu, eps real positive with mu^2 > eps this gives the standard
         square roots.  Other sheets are reached by sigma_image and rho_image.
+
+        With scale = max(|mu|^2, |eps|), |eps| <= DEGENERATE_TOL * scale puts
+        the point on eps = 0 (sqrt(eps) = 0, s1 = s2 = sqrt(mu)), and
+        |mu^2 - eps| <= DEGENERATE_TOL * scale on mu^2 = eps (the root of the
+        pair at the origin becomes exactly 0).  Only a generic point gets
+        tracked logs; the others keep NaN.
         """
         mu, eps = complex(mu), complex(eps)
-        if eps == 0:
-            s1 = cmath.sqrt(mu)
-            return cls(mu, eps, 0j, s1, s1)
-        se = cmath.sqrt(eps)
-        point = cls(mu, eps, se, cmath.sqrt(mu + se), cmath.sqrt(mu - se))
-        if point.s1 == 0 or point.s2 == 0:
-            # ramification locus mu^2 = eps (or mu = -sqrt(eps)): the
-            # tracked logs are undefined there
-            nan = complex(math.nan, math.nan)
-            return replace(point, log_n1=nan, log_n2=nan, log_a=nan, log_b=nan)
-        return replace(point, **point._fresh_logs())
+        scale = max(abs(mu) ** 2, abs(eps))
+        if abs(eps) <= DEGENERATE_TOL * scale:
+            se = 0j
+            s1 = s2 = cmath.sqrt(mu)
+        else:
+            se = cmath.sqrt(eps)
+            s1, s2 = cmath.sqrt(mu + se), cmath.sqrt(mu - se)
+            if abs(mu * mu - eps) <= DEGENERATE_TOL * scale:
+                s1, s2 = (0j, s2) if abs(s1) < abs(s2) else (s1, 0j)
+        point = cls(mu, eps, se, s1, s2)
+        if point.case != "generic":
+            return point
+        n1, n2 = s1 / se, s2 / se
+        return cls(mu, eps, se, s1, s2, cmath.log(n1), cmath.log(n2),
+                   cmath.log((n1 - n2) / 2.0), cmath.log((n1 + n2) / 2.0))
 
-    def _fresh_logs(self) -> dict:
-        n1 = self.s1 / self.sqrt_eps
-        n2 = self.s2 / self.sqrt_eps
-        return {
-            "log_n1": cmath.log(n1),
-            "log_n2": cmath.log(n2),
-            "log_a": cmath.log((n1 - n2) / 2.0),
-            "log_b": cmath.log((n1 + n2) / 2.0),
-        }
+    @property
+    def case(self) -> str:
+        """The closed form the point takes: "generic", "confluent" (eps = 0),
+        "ramified" (mu^2 = eps) or "origin" (mu = eps = 0).  Read from the
+        exact zeros in sqrt(eps), s1 and s2, so sigma_image and rho_image keep it."""
+        if self.sqrt_eps == 0:
+            return "confluent" if self.s1 else "origin"
+        return "ramified" if self.s1 == 0 or self.s2 == 0 else "generic"
 
     # -- projections ---------------------------------------------------------
 
@@ -95,7 +108,7 @@ class RamifiedPoint:
     @property
     def a(self) -> complex:
         """(s1 - s2)/(2 sqrt(eps)); for eps = 0 the limit 1/(2 sqrt(mu))."""
-        if self.eps == 0:
+        if self.case == "confluent":
             return 1.0 / (2.0 * cmath.sqrt(self.mu))
         return cmath.exp(self.log_a)
 
@@ -185,37 +198,23 @@ def theta(s: complex, rp: RamifiedPoint) -> complex:
     """Antiderivative of 2 s^2 / ((s^2 - mu)^2 - eps) vanishing at infinity,
     at the point (mu, eps) of ``rp``, with s1, s2 and sqrt(eps) of its sheet.
 
-    Closed-form case split (generic / eps = 0 / mu^2 = eps / both zero)
-    with principal logarithms of the Moebius ratios, which puts the cuts
-    exactly on the four segments [0, s_i].  Odd in s.
+    Closed form by ``rp.case``: -2/s at the origin, the double-root form at
+    eps = 0, and otherwise the two Moebius-ratio logarithms, whose term of
+    the zero root vanishes on mu^2 = eps.  Principal logarithms put the
+    cuts exactly on the segments [0, s_i].  Odd in s.
     """
-    s = complex(s)
-    mu, eps = complex(rp.mu), complex(rp.eps)
-    scale = max(abs(mu) ** 2, abs(eps), 1e-300)
-    generic = abs(eps) > 1e-13 * scale and abs(mu * mu - eps) > 1e-13 * scale
-    confluent = abs(eps) <= 1e-13 * scale
-    origin = confluent and abs(mu) <= 1e-13 * math.sqrt(scale)
-    if generic:
-        s1, s2, se = rp.s1, rp.s2, rp.sqrt_eps
-        ends = (s1, -s1, s2, -s2)
-    elif origin:
-        ends = (0j,)                    # the cut degenerates to the point 0
-    else:
-        # the nonzero roots of chi: +-sqrt(mu) at eps = 0, +-sqrt(2 mu) at mu^2 = eps
-        r = cmath.sqrt(mu if confluent else 2.0 * mu)
-        ends = (r, -r)
-    if any(_dist_to_segment(s, end) < CUT_TOL for end in ends):
+    s, case = complex(s), rp.case
+    if any(_dist_to_segment(s, end) < CUT_TOL for end in rp.roots()):
         raise OnCut(f"s = {s} lies on a cut segment")
-    if generic:
-        t1 = (s1 / (2.0 * se)) * cmath.log((s - s1) / (s + s1))
-        t2 = (s2 / (2.0 * se)) * cmath.log((s - s2) / (s + s2))
-        return t1 - t2
-    if origin:
+    if case == "origin":
         return -2.0 / s
-    if confluent:
-        return -s / (s * s - mu) - cmath.log((s + r) / (s - r)) / (2.0 * r)
-    # mu^2 = eps: the sign is fixed by the generic limit
-    return cmath.log((s - r) / (s + r)) / r
+    if case == "confluent":
+        r = rp.s1
+        return -s / (s * s - rp.mu) - cmath.log((s + r) / (s - r)) / (2.0 * r)
+    s1, s2, se = rp.s1, rp.s2, rp.sqrt_eps
+    t1 = (s1 / (2.0 * se)) * cmath.log((s - s1) / (s + s1))
+    t2 = (s2 / (2.0 * se)) * cmath.log((s - s2) / (s + s2))
+    return t1 - t2
 
 
 def theta_deriv(s: complex, mu: complex, eps: complex) -> complex:
@@ -251,29 +250,17 @@ class Equilibrium:
 def equilibria(rp: RamifiedPoint) -> list[Equilibrium]:
     """Actual singular points of chi among the roots of (s^2-mu)^2 - eps.
 
-    Roots at the origin are excluded when (mu, eps) != 0: the pole of chi
-    cancels them and the point is regular.  For eps = 0 the double roots
-    +-sqrt(mu) are flagged parabolic.
+    Dispatches on ``rp.case``: the origin is the one parabolic point at
+    mu = eps = 0, the double roots +-s1 are parabolic at eps = 0, and
+    otherwise the nonzero roots are hyperbolic.  A zero root on mu^2 = eps
+    is excluded: the pole of chi cancels it and the point is regular.
     """
-    mu, eps = rp.mu, rp.eps
-    out: list[Equilibrium] = []
-    if abs(eps) == 0.0:
-        if abs(mu) == 0.0:
-            out.append(Equilibrium(0.0, 0.0, True))
-        else:
-            sm = rp.s1
-            out.append(Equilibrium(sm, 0.0, True))
-            out.append(Equilibrium(-sm, 0.0, True))
-        return out
-    seen: list[complex] = []
-    for s_i in rp.roots():
-        if abs(s_i) < 1e-12:
-            continue
-        if any(abs(s_i - t) < 1e-12 for t in seen):
-            continue
-        seen.append(s_i)
-        out.append(Equilibrium(s_i, chi_multiplier(s_i, mu), False))
-    return out
+    if rp.case == "origin":
+        return [Equilibrium(0.0, 0.0, True)]
+    if rp.case == "confluent":
+        return [Equilibrium(rp.s1, 0.0, True), Equilibrium(-rp.s1, 0.0, True)]
+    return [Equilibrium(s_i, chi_multiplier(s_i, rp.mu), False)
+            for s_i in rp.roots() if s_i != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +339,7 @@ def trace_trajectory(s0: complex, omega: complex, rp: RamifiedPoint,
     mu, eps = rp.mu, rp.eps
     h = cfg.trace_step
     n_max = int(cfg.xi_max / h) + 1
-    if mu == 0 and eps == 0:
+    if rp.case == "origin":
         return _confluent_trajectory(complex(s0), omega, rp, cfg, n_max)
     attracting = _attractors(equilibria(rp), omega)
     samples = [complex(s0)]
@@ -583,15 +570,13 @@ def classify_regions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
         pts = np.asarray(grid, dtype=complex).ravel()
     inside = _in_annulus(pts, mu, eps)
     labels = np.full(pts.shape, REGION_NONE, dtype=int)
-    eq_list = equilibria(rp)
-    if not eq_list:
-        return pts, labels
-    if mu == 0 and eps == 0:
+    if rp.case == "origin":
         side = (np.conj(omega) / pts[inside]).imag / abs(omega)
         labels[inside] = np.where(side < -1.0 / DELTA_S, REGION_INNER,
                                   np.where(side > 1.0 / DELTA_S, REGION_INNER_P,
                                            REGION_NONE))
         return pts, labels
+    eq_list = equilibria(rp)
     fwd = _flow_endpoints(pts[inside], omega, mu, eps, cfg, eq_list)
     bwd = _flow_endpoints(pts[inside], -omega, mu, eps, cfg, eq_list)
 
@@ -604,14 +589,14 @@ def classify_regions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     inner = near(bwd, s1) & near(fwd, s2)
     inner_p = near(bwd, -s2) & near(fwd, -s1)
     outer_pair = near(bwd, s1) & near(fwd, -s1) & ~inner & ~inner_p
-    axis = s1 if abs(s1) > 1e-12 else 1.0
+    axis = s1 or 1.0
     upper = (pts[inside] / axis).imag > 0.0
     sub[inner] = REGION_INNER
     sub[inner_p] = REGION_INNER_P
     sub[outer_pair & upper] = REGION_OUTER
     sub[outer_pair & ~upper] = REGION_OUTER_P
     # eps = 0 collapses s1 = s2: connections from s1 to s1 are inner
-    if abs(eps) == 0.0 and abs(mu) > 0.0:
+    if rp.case == "confluent":
         both = near(bwd, s1) & near(fwd, s1)
         sub[both] = REGION_INNER
         both_p = near(bwd, -s1) & near(fwd, -s1)
@@ -672,23 +657,3 @@ def bifurcation_sets(eps: complex, resolution: int = 200):
         "sigma_I_minus": (-se - eps * t_vals).astype(complex),
         "sigma_I_plus": (se - eps * t_vals).astype(complex),
     }
-
-
-def stability_sweep(mu_path, eps: complex) -> np.ndarray:
-    """Re(sqrt(eps)/s2) along a mu path with s2 continued, not principal.
-
-    Principal square roots jump sheets exactly on the sigma_I ray, which
-    would mask the stability flip; here each s2 is the root closest to the
-    previous one.
-    """
-    se = cmath.sqrt(eps)
-    out = np.empty(len(mu_path), dtype=float)
-    s2_prev = None
-    for k, mu in enumerate(mu_path):
-        s2 = cmath.sqrt(complex(mu) - se)
-        if s2_prev is not None and abs(-s2 - s2_prev) < abs(s2 - s2_prev):
-            s2 = -s2
-        out[k] = (se / s2).real
-        s2_prev = s2
-    return out
-

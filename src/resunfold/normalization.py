@@ -337,14 +337,15 @@ def diagonalization_residual(asm: FAssembly) -> float:
 
 def inner_arc_solutions(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
                         r=None, tol: float = 1e-12):
-    """Trace one connecting arc, seeded from s1 towards s2 (towards i s1
-    when they coincide), and solve for both Picard solutions.
+    """Trace one connecting arc, seeded from s1 towards s2 (towards i s1 at
+    eps = 0, where they coincide), and solve for both Picard solutions.
 
     Returns (p_i_sol on the arc, p_j_sol on the reversed-negated arc).
+    Raises NoOverlap at mu = eps = 0, where no seed direction exists.
     """
-    d = rp.s2 - rp.s1 if abs(rp.s2 - rp.s1) > 1e-12 else 1j * rp.s1
-    if d == 0:
+    if rp.case == "origin":
         raise NoOverlap("no seed direction at mu = eps = 0")
+    d = 1j * rp.s1 if rp.case == "confluent" else rp.s2 - rp.s1
     return _picard_pair(connecting_arc(rp, omega, cfg, rp.s1 + 1e-4 * (d / abs(d))), r, tol)
 
 
@@ -391,10 +392,12 @@ def kappa_formulas(rp: RamifiedPoint, Q: complex):
         kappa   = kappa_O / kappa_I (evaluated directly from its own form).
 
     Everything is accumulated in log space before a single exponential, so
-    moderate parameter ranges stay far from overflow.
+    moderate parameter ranges stay far from overflow.  Only a generic point
+    has the tracked logs: eps = 0, mu^2 = eps and the origin raise
+    GammaPole, since some n_i, a or b is infinite or zero there.
     """
-    if rp.eps == 0:
-        raise GammaPole("kappa formulas need eps != 0 (use the stated limits)")
+    if rp.case != "generic":
+        raise GammaPole(f"kappa formulas need a generic point, not the {rp.case} case")
     l1, l2, la, lb = rp.log_n1, rp.log_n2, rp.log_a, rp.log_b
     n1, n2, a, b = rp.n1, rp.n2, rp.a, rp.b
     log_2pi = math.log(2.0 * math.pi)

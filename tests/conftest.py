@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,26 @@ def random_gauge(rng, scale=0.05, degree=3, order=24, lower_triangular=False):
                 [random_series(rng, scale, degree, order),
                  one + random_series(rng, scale, degree, order)]]
     return GaugeTransform.from_rows(rows, order)
+
+
+def stability_sweep(mu_path, eps: complex) -> np.ndarray:
+    """Re(sqrt(eps)/s2) along a mu path with s2 continued, not principal.
+
+    Principal square roots jump sheets exactly on the sigma_I ray, which
+    would mask the stability flip; here each s2 is the root closest to the
+    previous one.  This follows s2 in floating point, which the library's
+    sheet bookkeeping never does, so it lives with the tests.
+    """
+    se = cmath.sqrt(eps)
+    out = np.empty(len(mu_path), dtype=float)
+    s2_prev = None
+    for k, mu in enumerate(mu_path):
+        s2 = cmath.sqrt(complex(mu) - se)
+        if s2_prev is not None and abs(-s2 - s2_prev) < abs(s2 - s2_prev):
+            s2 = -s2
+        out[k] = (se / s2).real
+        s2_prev = s2
+    return out
 
 
 def mat_diff(a: CSeriesMat2, b: CSeriesMat2) -> float:

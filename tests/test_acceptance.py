@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import model_system, random_gauge, random_series, random_system
+from conftest import model_system, random_gauge, random_series, random_system, stability_sweep
 from resunfold.algebra import CSeries, CSeriesMat2
 from resunfold.cli import main as cli_main
 from resunfold.geometry import (
@@ -21,7 +21,6 @@ from resunfold.geometry import (
     bifurcation_sets,
     classify_regions,
     count_components,
-    stability_sweep,
     theta,
     theta_deriv,
 )

@@ -333,6 +333,9 @@ def test_flow_commands_take_no_abbreviation(command, tmp_path, capsys):
     (["invariants", "m.json", "--validity-radius=nan"], "--validity-radius must be positive"),
     (["equiv", "a.json", "b.json", "--validity-radius=-1"],
      "--validity-radius must be positive"),
+    (["--seed", "-1", "kappa", "--samples", "3"], "--seed must be >= 0"),
+    (["--seed", "-1", "portrait", "--mu", "0.06", "--eps", "0.001", "--grid", "5",
+      "--trajectories", "1"], "--seed must be >= 0"),
 ])
 def test_numeric_options_checked_first(args, message, tmp_path, monkeypatch, capsys):
     import resunfold.cli as cli

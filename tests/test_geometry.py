@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import stability_sweep
 from resunfold.geometry import (
     ANNULUS_L,
     CAPTURE_RADIUS,
@@ -23,7 +24,6 @@ from resunfold.geometry import (
     classify_regions,
     count_components,
     equilibria,
-    stability_sweep,
     theta,
     theta_deriv,
     trace_trajectory,
@@ -76,6 +76,49 @@ def test_a_at_eps_zero_is_the_limit():
                 eps = t * phase
                 gap = RamifiedPoint.from_values(mu, eps).a / a0 - 1.0
                 assert abs(gap - eps / (8.0 * mu * mu)) < 1e-3 * abs(eps / (mu * mu))
+
+
+# the seed-977 "ramified mu^2=eps" portrait of the cli-sweep benchmark, its
+# --mu and --eps copied from the manifest: eps = mu * mu exactly, but
+# rounding in sqrt(mu * mu) leaves sqrt(mu - sqrt(eps)) at 3.7e-9, not 0
+MU_977 = complex(0.09916647375053429, 0.010143230095206134)
+EPS_977 = complex(0.009731104399351112, 0.002011736721963777)
+
+
+@pytest.mark.parametrize("mu, eps, case", [
+    (0.04, 0.0, "confluent"),
+    (0.05 + 0.02j, 0.0, "confluent"),
+    (0.1, 0.01, "ramified"),                            # mu = +sqrt(eps)
+    (-0.07 + 0.03j, (-0.07 + 0.03j) ** 2, "ramified"),  # mu = -sqrt(eps)
+    (-0.1, 0.01, "ramified"),                           # mu = -sqrt(eps)
+    (MU_977, EPS_977, "ramified"),
+    (0.0, 0.0, "origin"),
+])
+def test_degenerate_case_is_decided_once(mu, eps, case):
+    """A point 1e-14 relative off a degenerate set gets the set's case and
+    equilibria (two, or one at the origin); 1e-12 relative off, it stays
+    generic with four."""
+    n_eq = 1 if case == "origin" else 2
+    exact = RamifiedPoint.from_values(mu, eps)
+    eqs = equilibria(exact)
+    assert exact.case == case and len(eqs) == n_eq
+    assert all(e.parabolic == (case != "ramified") for e in eqs)
+    assert all(cmath.isnan(x) for x in (exact.log_n1, exact.log_n2, exact.log_a, exact.log_b))
+    assert exact.sigma_image().case == exact.rho_image().case == case
+    scale = max(abs(mu) ** 2, abs(eps))
+    if scale == 0.0:
+        return
+    for phase in (1.0, 1j, -0.6 - 0.8j):
+        near = RamifiedPoint.from_values(mu, eps + 1e-14 * scale * phase)
+        assert near.case == case
+        near_eqs = equilibria(near)
+        assert len(near_eqs) == n_eq and all(e.parabolic == (case != "ramified")
+                                             for e in near_eqs)
+        # the same points, perhaps in another order: a principal root may
+        # change sign across a branch cut of sqrt
+        assert all(min(abs(a.s - b.s) for b in eqs) <= 1e-12 * abs(a.s) for a in near_eqs)
+        far = RamifiedPoint.from_values(mu, eps + 1e-12 * scale * phase)
+        assert far.case == "generic" and len(equilibria(far)) == 4
 
 
 def test_sigma_rho_actions(rng):
@@ -150,6 +193,25 @@ def test_theta_degenerate_limits():
     eps = mu * mu * (1 + 1e-8)
     lim2 = theta(s, RamifiedPoint.from_values(mu, eps))
     assert abs(lim2 - theta(s, RamifiedPoint.from_values(mu, mu * mu))) < 1e-4
+
+
+def test_theta_on_mu2_eq_eps_is_the_old_closed_form(rng):
+    """On mu^2 = eps the generic formula loses the term of the zero root;
+    what is left equals log((s - r)/(s + r))/r, r = sqrt(2 mu), the closed
+    form theta used to keep for that case."""
+    for mu in (0.1, -0.1, 0.07 + 0.03j, -0.07 - 0.03j, 0.05 - 0.04j, -0.06 + 0.02j):
+        rp = RamifiedPoint.from_values(mu, mu * mu)
+        r = cmath.sqrt(2.0 * mu)
+        checked = 0
+        while checked < 200:
+            s = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            try:
+                got = theta(s, rp)
+            except OnCut:
+                continue
+            checked += 1
+            want = cmath.log((s - r) / (s + r)) / r
+            assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_theta_parameter_periodicity(rng):
@@ -360,6 +422,17 @@ def test_classify_two_inner_components_at_eps_zero():
     n = count_components(pts, labels, REGION_INNER, 61, 61,
                          exclude=[rp.s1, -rp.s1], exclude_radius=0.045)
     assert n == 2
+
+
+def test_near_confluent_point_gets_the_confluent_labels():
+    """1e-14 relative off eps = 0 the regions are those of eps = 0, not
+    those of four hyperbolic equilibria 2e-8 apart in pairs."""
+    cfg = DomainConfig()
+    _, want = classify_regions(RamifiedPoint.from_values(0.04, 0.0), 1.0, cfg, grid=(31, 31))
+    _, got = classify_regions(RamifiedPoint.from_values(0.04, 1.6e-17j), 1.0, cfg,
+                              grid=(31, 31))
+    assert int(np.sum(want == REGION_INNER)) > 0 and int(np.sum(want == REGION_OUTER)) > 0
+    assert np.array_equal(got, want)
 
 
 def _old_rule_endpoints(points, w, rp, cfg):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,22 @@ def test_kappa_pole_raises():
     Q = -rp.b
     with pytest.raises(GammaPole):
         kappa_formulas(rp, Q)
+
+
+@pytest.mark.parametrize("mu, eps", [
+    (0.1, 0.01),            # mu = +sqrt(eps)
+    (-0.1, 0.01),           # mu = -sqrt(eps)
+    (0.05 + 0.02j, (0.05 + 0.02j) ** 2),
+    (0.05, 0.0),
+    (0.0, 0.0),
+])
+def test_kappa_formulas_refuse_degenerate_points(mu, eps):
+    """Off the generic case some n_i, a or b is zero or infinite: a
+    GammaPole, not NaN and a RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GammaPole):
+            kappa_formulas(RamifiedPoint.from_values(mu, eps), 0.1)
 
 
 def test_connection_matrix_shapes(rng):
