@@ -62,6 +62,7 @@ from .geometry import (
     OnCut,
     PoleAtZero,
     RamifiedPoint,
+    ThetaStepStalled,
     TrajectoryRecord,
     bifurcation_sets,
     chi,

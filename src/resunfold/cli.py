@@ -11,7 +11,8 @@ the sector |arg omega| < eta, a normcheck r too large for the contraction
 inequality, a zero of h outside the unit disc, a contour too close to a
 zero of h, a monodromy transport that does not converge, a failed Picard
 solve, and gamma-pole saturation in kappa), 3 NonGeneric, 4
-Indeterminate, 5 a gamma whose error bound is not small against it.
+Indeterminate, 5 a gamma whose error bound is not small against it, or a
+portrait sample whose Newton solve of theta did not converge.
 Every refusal is one ``error:`` line on stderr, written by ``main`` from
 ``EXIT_CODES``.
 """
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .geometry import (
     REGION_OUTER_P,
     DomainConfig,
     RamifiedPoint,
+    ThetaStepStalled,
     bifurcation_sets,
     classify_regions,
     count_components,
@@ -81,6 +84,8 @@ EXIT_NON_GENERIC = 3
 EXIT_INDETERMINATE = 4
 EXIT_UNRELIABLE = 5
 
+PORTRAIT_DXI = 0.05   # xi spacing of the samples in trajectories.csv
+
 
 class UsageError(ValueError):
     """A command line, or a file it names, that a command refuses."""
@@ -92,6 +97,7 @@ EXIT_CODES = {
     UsageError: EXIT_PARSE,
     NonGeneric: EXIT_NON_GENERIC,
     UnreliableGamma: EXIT_UNRELIABLE,
+    ThetaStepStalled: EXIT_UNRELIABLE,
     BadDescriptor: EXIT_PARSE,
     RootOutsideUnitDisc: EXIT_PARSE,
     SingularityTooClose: EXIT_PARSE,
@@ -307,8 +313,8 @@ def cmd_portrait(args) -> int:
         if abs(z) > 0.2 * DELTA_S:
             seeds.append(z)
 
-    records = [trace_trajectory(seed, omega, rp, cfg) for seed in seeds]
-    stride = max(1, int(0.05 / cfg.trace_step))
+    sampled = replace(cfg, trace_step=PORTRAIT_DXI)
+    records = [trace_trajectory(seed, omega, rp, sampled) for seed in seeds]
     curves = bifurcation_sets(eps, resolution=200)
 
     outer_mask = (labels == REGION_OUTER) | (labels == REGION_OUTER_P)
@@ -333,7 +339,7 @@ def cmd_portrait(args) -> int:
                         ((p.real, p.imag, REGION_NAMES[int(l)]) for p, l in zip(pts, labels))),
         "trajectories.csv": ("traj,xi,re_s,im_s",
                              ((k, xi, s.real, s.imag) for k, rec in enumerate(records)
-                              for xi, s in zip(rec.xi[::stride], rec.s[::stride]))),
+                              for xi, s in zip(rec.xi, rec.s))),
         "bifurcations.csv": ("curve,re_mu,im_mu",
                              ((name, m.real, m.imag) for name, arr in curves.items()
                               for m in arr)),

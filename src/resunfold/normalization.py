@@ -25,9 +25,10 @@ from .geometry import (
     DomainConfig,
     RamifiedPoint,
     TrajectoryRecord,
+    _rk4_step,
+    _trace,
     chi,
     classify_regions,
-    trace_trajectory,
 )
 
 
@@ -199,6 +200,10 @@ def p_equation_residual(sol: PSolution) -> float:
 # heteroclinic arcs and the assembled transformation
 
 
+def _rk4_arc_step(s: complex, omega: complex, rp: RamifiedPoint, h: float) -> complex:
+    return _rk4_step(s, omega, rp.mu, rp.eps, h)
+
+
 def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
                    start: complex) -> TrajectoryRecord:
     """Heteroclinic trajectory arc through the point ``start`` of the wanted
@@ -207,11 +212,14 @@ def connecting_arc(rp: RamifiedPoint, omega: complex, cfg: DomainConfig,
     Traces -omega from ``start`` until it locks onto the repelling end and
     omega until it converges, and splices both halves into one record of
     omega, on the step of the two traces, starting at the repelling end.
+    The traces keep the stop rules of ``trace_trajectory`` but step by RK4:
+    solve_p needs every sample at cfg.trace_step, and at that step an RK4
+    step costs less than a Newton solve of theta.
     """
-    fwd = trace_trajectory(start, omega, rp, cfg)
+    fwd = _trace(start, omega, rp, cfg, _rk4_arc_step)
     if fwd.terminal != "converged":
         raise NoOverlap(f"forward trace ended with '{fwd.terminal}'")
-    bwd = trace_trajectory(start, -omega, rp, cfg)
+    bwd = _trace(start, -omega, rp, cfg, _rk4_arc_step)
     if bwd.terminal != "converged":
         raise NoOverlap(f"backward trace ended with '{bwd.terminal}'")
     s_all = np.concatenate([bwd.s[::-1], fwd.s[1:]])

@@ -282,6 +282,22 @@ def test_invalid_descriptor_exit_parse(edit, command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_portrait_refuses_a_stalled_theta_step(tmp_path, monkeypatch, capsys):
+    """A trajectory sample whose Newton solve of theta stalls is not written:
+    portrait exits 5 with one error line and leaves no files."""
+    from resunfold import geometry
+
+    def stalled(s, *args):
+        raise geometry.ThetaStepStalled(f"the theta step from s = {s} did not converge")
+    monkeypatch.setattr(geometry, "_theta_step", stalled)
+    out = tmp_path / "o"
+    assert main(["--out", str(out), "portrait", "--mu", "0.06", "--eps", "0.001",
+                 "--grid", "5"]) == 5
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "did not converge" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["portrait", "--mu", "0.06", "--eps", "0.001", "--omega-arg=3.141592653589793",
      "--grid", "11"],
@@ -442,7 +458,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # flow-layer runs whose outputs were written by the CLI before the two RK4
 # loops shared one step (bifurcations.csv and kappa's report: before every
 # command wrote through one emitter); trajectories.csv (1.26 MB) is kept as
-# its SHA-256
+# its SHA-256, written since its samples are theta steps of 0.05
 FLOW_RUNS = {
     "portrait": ["--seed", "1", "portrait", "--mu=0.05,0.02", "--eps=0.0016,0.0005",
                  "--omega-arg=-0.3", "--grid", "21", "--trajectories", "2"],

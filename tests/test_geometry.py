@@ -1,11 +1,13 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import stability_sweep
+from resunfold import geometry
 from resunfold.geometry import (
     ANNULUS_L,
     CAPTURE_RADIUS,
@@ -27,7 +29,6 @@ from resunfold.geometry import (
     theta,
     theta_deriv,
     trace_trajectory,
-    xi_theta_residuals,
 )
 from resunfold.geometry import (
     _attractors,
@@ -195,6 +196,17 @@ def test_theta_degenerate_limits():
     assert abs(lim2 - theta(s, RamifiedPoint.from_values(mu, mu * mu))) < 1e-4
 
 
+@pytest.mark.parametrize("mu", [1e-34, 1e-20])
+def test_theta_at_eps_zero_keeps_its_log_term_for_tiny_mu(mu):
+    """At eps = 0, theta = -s/(s^2 - mu) - atanh(r/s)/r, r = sqrt(mu), tends
+    to -2/s as mu -> 0; written as log((s + r)/(s - r))/(2 r) its second
+    half rounds away once |r/s| is below the rounding of 1."""
+    rp = RamifiedPoint.from_values(mu, 0.0)
+    assert rp.case == "confluent"
+    for s in (0.3, 0.31 + 0.12j, -0.2j):
+        assert abs(theta(s, rp) + 2.0 / s) <= 1e-14 * abs(2.0 / s)
+
+
 def test_theta_on_mu2_eq_eps_is_the_old_closed_form(rng):
     """On mu^2 = eps the generic formula loses the term of the zero root;
     what is left equals log((s - r)/(s + r))/r, r = sqrt(2 mu), the closed
@@ -327,7 +339,7 @@ def test_confluent_labels_from_closed_form():
 
 
 def test_rk4_step_and_annulus_agree_on_scalars_and_arrays():
-    """trace_trajectory steps one complex, the region flow an ndarray of
+    """connecting_arc steps one complex, the region flow an ndarray of
     them, through the same RK4 step and annulus test.  numpy's complex
     multiply, divide and abs may round differently from Python's, so an
     array lane matches the scalar run to rounding, and the two annulus
@@ -354,11 +366,22 @@ def test_rk4_step_and_annulus_agree_on_scalars_and_arrays():
     assert not _in_annulus(complex("nan+nanj"), mu, eps)
 
 
-def test_trajectory_equilibrium_is_fixed():
-    rp = RamifiedPoint.from_values(0.05, 0.0016)
-    cfg = DomainConfig()
-    rec = trace_trajectory(rp.s2, 1.0, rp, dataclasses.replace(cfg, xi_max=5.0))
-    assert np.max(np.abs(rec.s - rp.s2)) < 1e-12
+def test_trajectory_equilibrium_is_fixed(rng):
+    """A trace seeded exactly on an equilibrium stays there, also where the
+    theta step's start moves the seed by rounding: at (-0.0722+0.0408i,
+    0.00642+0.00964i) x s - s_i^2 rounds to 0 and the increment would
+    divide by it."""
+    points = [(0.05, 0.0016), (0.04, 0.0),
+              (-0.07221366417596049 + 0.04075715385335957j,
+               0.006422061767892775 + 0.009636566457435877j)]
+    points += [random_generic_point(rng) for _ in range(20)]
+    for mu, eps in points:
+        rp = RamifiedPoint.from_values(mu, eps)
+        for e in equilibria(rp):
+            for w in (1.0, cmath.exp(0.4j)):
+                for h in (5e-3, 0.05):
+                    rec = trace_trajectory(e.s, w, rp, DomainConfig(trace_step=h, xi_max=5.0))
+                    assert np.max(np.abs(rec.s - e.s)) < 1e-12
 
 
 def test_trajectory_convergence_tag():
@@ -369,28 +392,132 @@ def test_trajectory_convergence_tag():
     assert abs(rec.s[-1] - rp.s2) < 1e-8
 
 
-def test_xi_theta_duality():
-    """omega * dxi == 2 dtheta along trajectories, at quadrature accuracy."""
-    rp = RamifiedPoint.from_values(0.06, 0.001)
-    for s0 in (0.25 + 0.08j, 0.2 - 0.1j):
-        rec = trace_trajectory(s0, cmath.exp(0.2j), rp, DomainConfig(trace_step=0.01))
-        res = xi_theta_residuals(rec)
-        good = res[~np.isnan(res)]
-        assert len(good) > 50
-        assert float(np.max(good)) < 1e-6
+def _rk4_trajectory(s0, omega, rp, cfg):
+    """The scalar RK4 loop that traced every trajectory before the theta
+    steps, kept here as the oracle: step cfg.trace_step, capture within
+    CAPTURE_RADIUS of a hyperbolic attractor or after five approaching
+    samples inside parabolic_capture, stop outside the annulus or at
+    cfg.xi_max.  Returns (samples, terminal, target)."""
+    mu, eps, h = rp.mu, rp.eps, cfg.trace_step
+    attracting = _attractors(equilibria(rp), omega)
+    s = complex(s0)
+    samples, terminal, target, approach = [s], "max-length", None, 0
+    for _ in range(int(cfg.xi_max / h) + 1):
+        s_new = _rk4_step(s, omega, mu, eps, h)
+        samples.append(s_new)
+        for e in attracting:
+            d = abs(s_new - e.s)
+            if not e.parabolic and d < CAPTURE_RADIUS:
+                terminal, target = "converged", e.s
+            elif e.parabolic and d < cfg.parabolic_capture:
+                approach = approach + 1 if d < abs(s - e.s) else 0
+                if approach >= 5:
+                    terminal, target = "converged", e.s
+            if terminal == "converged":
+                break
+        if terminal == "converged":
+            break
+        if not _in_annulus(s_new, mu, eps):
+            terminal = "left-annulus"
+            break
+        s = s_new
+    return np.array(samples), terminal, target
 
 
-def test_xi_theta_duality_imaginary_axis_seed():
-    """Real eps > 0, mu = 0: centers surround the zeros; a trajectory
-    seeded on the imaginary axis still satisfies the duality until it
-    converges, exits, or times out."""
-    rp = RamifiedPoint.from_values(0.0, 0.001)
-    rec = trace_trajectory(0.3j, 1.0, rp, DomainConfig(trace_step=0.01, xi_max=60.0))
-    assert rec.terminal in ("converged", "left-annulus", "max-length")
-    res = xi_theta_residuals(rec)
-    good = res[~np.isnan(res)]
-    assert len(good) > 20
-    assert float(np.max(good)) < 1e-6
+def _portrait_seeds(rp, n_random=2, seed=1):
+    """The seeds of the portrait command: a four-point fan around each
+    nonzero equilibrium, then random points of the annulus's square."""
+    rng = np.random.default_rng(seed)
+    seeds = [e.s + 1e-3 * phase * max(abs(e.s), 0.05) for e in equilibria(rp)
+             if abs(e.s) > 1e-8 for phase in (1.0, 1j, -1.0, -1j)]
+    while len(seeds) < 4 * len(equilibria(rp)) + n_random:
+        z = DELTA_S * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))
+        if abs(z) > 0.2 * DELTA_S:
+            seeds.append(z)
+    return seeds
+
+
+@pytest.fixture
+def newton_iterations(monkeypatch):
+    """Newton iterations of every theta step taken while the test runs, one
+    entry per sample: each iteration evaluates theta' once."""
+    per_sample, calls = [], [0]
+    deriv, step = geometry.theta_deriv, geometry._theta_step
+
+    def counted_deriv(*args):
+        calls[0] += 1
+        return deriv(*args)
+
+    def counted_step(*args):
+        calls[0] = 0
+        x = step(*args)
+        per_sample.append(calls[0])
+        return x
+
+    monkeypatch.setattr(geometry, "theta_deriv", counted_deriv)
+    monkeypatch.setattr(geometry, "_theta_step", counted_step)
+    return per_sample
+
+
+def _agree_with_rk4(rp, omega, seeds, tol):
+    """Traces every seed at the portrait spacing 0.05 and with the RK4 oracle
+    at 5e-3: equal terminals and targets, and samples within tol of every
+    tenth RK4 sample over their common xi range.  Returns the number of
+    samples compared."""
+    cfg = DomainConfig()
+    compared = 0
+    for s0 in seeds:
+        rec = trace_trajectory(s0, omega, rp, dataclasses.replace(cfg, trace_step=0.05))
+        ref, terminal, target = _rk4_trajectory(s0, omega, rp, cfg)
+        assert (rec.terminal, rec.target) == (terminal, target), s0
+        n = min(len(rec.s), len(ref[::10]))
+        assert np.max(np.abs(rec.s[:n] - ref[::10][:n])) <= tol, s0
+        compared += n - 1
+    return compared
+
+
+@pytest.mark.parametrize("mu, eps, omega", [
+    (0.05 + 0.02j, 0.0016 + 0.0005j, cmath.exp(-0.3j)),   # generic
+    (0.04, 0.0, 1.0),                                     # eps = 0
+    (0.1, 0.01, 1.0),                                     # mu^2 = eps
+    (0.0, 0.0, cmath.exp(0.15j)),                         # the origin
+])
+def test_theta_trace_matches_rk4(mu, eps, omega, newton_iterations):
+    """One point per closed-form case: the theta tracer ends where the RK4
+    loop at 5e-3 ends, and its samples agree to 1e-10."""
+    rp = RamifiedPoint.from_values(mu, eps)
+    assert _agree_with_rk4(rp, omega, _portrait_seeds(rp), 1e-10) > 1000
+    assert (rp.case == "origin") == (not newton_iterations)
+
+
+@pytest.mark.parametrize("mu, eps", [
+    (0.04, 0.04 ** 2 * 1e-9),
+    (0.04, 0.04 ** 2 * 1e-13),
+    (1e-20, 0.0),
+])
+def test_theta_trace_near_degenerate_points(mu, eps, newton_iterations):
+    """Near eps = 0 the logarithms' coefficients s_i / (2 sqrt(eps)) reach
+    ~1e5 and the increment's rounding floor lies above 1e-15 |x|; the stop
+    at the first step that no longer halves keeps every sample within six
+    Newton iterations and within 1e-8 of RK4.  At mu = 1e-20 the eps = 0
+    increment keeps its atanh term."""
+    rp = RamifiedPoint.from_values(mu, eps)
+    assert _agree_with_rk4(rp, cmath.exp(0.2j), _portrait_seeds(rp), 1e-8) > 1000
+    assert newton_iterations and max(newton_iterations) <= 6
+
+
+def test_theta_step_refuses_a_stalled_solve(monkeypatch):
+    """A Newton solve that never meets its stop rule raises ThetaStepStalled,
+    which the portrait command reports with exit code 5."""
+    rp = RamifiedPoint.from_values(0.05, 0.0016)
+    # a residual fixed at ~1 over a derivative growing by 1/0.45 a call:
+    # every correction more than halves, yet stays above 1e-15 |x|
+    calls = itertools.count()
+    monkeypatch.setattr(geometry, "_theta_increment", lambda x, s, rp: -1.0)
+    monkeypatch.setattr(geometry, "theta_deriv", lambda x, mu, eps: 1e3 / 0.45 ** next(calls))
+    with pytest.raises(geometry.ThetaStepStalled):
+        trace_trajectory(0.2, 1.0, rp, DomainConfig())
+    assert next(calls) == geometry.NEWTON_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +651,38 @@ def test_certified_captures_reach_the_same_attractor(mu, eps, omega, n):
     assert retired_early > 0.2 * len(pts)
 
 
+def test_lane_on_a_repeller_retires_at_once(monkeypatch):
+    """At (0.09, 0.0049) the 41^2 grid points +-0.4 lie 5.6e-17 from +-s1,
+    and RK4 returns each one unchanged in the direction where it repels.
+    That lane stops after its first step with no end state, as the full
+    budget leaves it, so every endpoint, and with them the labels, stay
+    those of the full loop."""
+    rp = RamifiedPoint.from_values(0.09, 0.0049)
+    cfg = DomainConfig()
+    xs = np.linspace(-DELTA_S, DELTA_S, 41)
+    assert abs(xs[36] - rp.s1) < 1e-16
+    pts = (xs[None, :] + 1j * xs[:, None]).ravel()
+    pts = pts[_in_annulus(pts, rp.mu, rp.eps)]
+    for w in (1.0, -1.0):
+        end, _, _ = _old_rule_endpoints(pts, w, rp, cfg)
+        assert np.array_equal(_flow_endpoints(pts, w, rp.mu, rp.eps, cfg, equilibria(rp)),
+                              end, equal_nan=True)
+    steps = []
+
+    def counted(s, *args):
+        steps.append(len(s))
+        return _rk4_step(s, *args)
+
+    monkeypatch.setattr(geometry, "_rk4_step", counted)
+    for repeller, w in ((xs[36], 1.0), (xs[4], -1.0)):
+        steps.clear()
+        out = _flow_endpoints(np.array([repeller]), w, rp.mu, rp.eps, cfg, equilibria(rp))
+        assert np.isnan(out[0]) and steps == [1]
+
+
 def test_classify_work_on_golden_point(monkeypatch):
     """Certified captures retire the golden portrait's 21^2 lanes within 1,500
     array RK4 steps over both directions (2 x 2,375 with fixed discs only)."""
-    from resunfold import geometry
     steps = []
 
     def counted(s, *args):
